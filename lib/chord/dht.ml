@@ -55,14 +55,7 @@ let leave t id =
   match Hashtbl.find_opt t.index id with
   | None -> Error `Not_member
   | Some vn ->
-    if Ring.cardinal t.ring = 1 then
-      if Id_set.is_empty vn.keys then begin
-        t.messages.leaves <- t.messages.leaves + 1;
-        t.ring <- Ring.remove id t.ring;
-        Hashtbl.remove t.index id;
-        Ok ()
-      end
-      else Error `Last_node
+    if Ring.cardinal t.ring = 1 then Error `Last_node
     else begin
       t.messages.leaves <- t.messages.leaves + 1;
       t.ring <- Ring.remove id t.ring;

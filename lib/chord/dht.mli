@@ -40,8 +40,9 @@ val join : 'a t -> id:Id.t -> payload:'a -> ('a vnode, [ `Occupied ]) result
 
 val leave : 'a t -> Id.t -> (unit, [ `Not_member | `Last_node ]) result
 (** Remove a vnode, handing its keys to its successor.  Refuses to remove
-    the last vnode while it still holds keys ([`Last_node]): the paper's
-    networks never drain completely because joins and leaves balance. *)
+    the last vnode ([`Last_node]), even an empty one: under the
+    assumed-reliable model someone must stay to receive arriving tasks,
+    so only a {!crash} can empty the ring. *)
 
 val crash : 'a t -> Id.t -> (Id_set.t, [ `Not_member ]) result
 (** Ungraceful removal: the vnode vanishes with {e no} key handover and

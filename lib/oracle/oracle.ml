@@ -302,13 +302,7 @@ let leave o id =
   match find_vnode o id with
   | None -> Error `Not_member
   | Some vn ->
-    if ring_size o = 1 then
-      if vn.keys = [] then begin
-        o.msgs.leaves <- o.msgs.leaves + 1;
-        o.ring <- [];
-        Ok ()
-      end
-      else Error `Last_node
+    if ring_size o = 1 then Error `Last_node
     else begin
       o.msgs.leaves <- o.msgs.leaves + 1;
       o.ring <- List.filter (fun v -> not (Id.equal v.id id)) o.ring;

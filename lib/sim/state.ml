@@ -666,9 +666,9 @@ let relocate_phys t pid ~id =
    from its replicas, so the recovery costs a second transfer of every
    key the dead machine held (the paper's active-backup assumption makes
    the fetch always succeed).  Recovery is billed only if the machine
-   actually departs: the ring's last key-holding vnode refuses the
-   departure (`Last_node) and keeps serving its keys, so there is
-   nothing to recover. *)
+   actually departs: the ring's last vnode refuses the departure
+   (`Last_node) and keeps serving its keys, so there is nothing to
+   recover. *)
 let fail_phys_assumed t pid =
   let lost_keys = workload_of_phys t pid in
   leave_phys t pid;
@@ -794,10 +794,12 @@ let apply_arrivals t =
           Id.add t.hot_centers.(j) offset
       in
       if Dht.size t.dht = 0 then begin
-        (* Total wipeout (reachable only with live replication on): the
-           task arrived to a dead system — accepted, immediately lost,
-           and accounted; there was nobody to route through, so no hops
-           are charged. *)
+        (* Total wipeout, reachable only with live replication on: a
+           crash event killed every vnode (Dht.leave never removes the
+           last one, so churn alone cannot empty the ring).  The task
+           arrived to a dead system — accepted, immediately lost, and
+           accounted; there was nobody to route through, so no hops are
+           charged. *)
         t.arrived_total <- t.arrived_total + 1;
         incr accepted;
         m.Messages.tasks_lost <- m.Messages.tasks_lost + 1

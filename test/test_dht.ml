@@ -56,11 +56,11 @@ let test_leave_last_node () =
   (match Dht.leave dht (i 100) with
   | Error `Last_node -> ()
   | _ -> Alcotest.fail "must protect the last key holder");
-  (* consume the key, then leaving is allowed *)
+  (* consume the key: even empty, the last node never leaves *)
   let _ = consume dht (i 100) 1 in
   match Dht.leave dht (i 100) with
-  | Ok () -> Alcotest.(check int) "empty" 0 (Dht.size dht)
-  | Error _ -> Alcotest.fail "empty last node may leave"
+  | Error `Last_node -> Alcotest.(check int) "still there" 1 (Dht.size dht)
+  | _ -> Alcotest.fail "last node never leaves"
 
 let test_leave_not_member () =
   let dht = mk_dht [ 100 ] [] in

@@ -907,6 +907,43 @@ let transfer_scenarios =
       { fault_base with clustered = true; sybil_threshold = 2; churn = 0.08 } );
   ]
 
+(* Shrunk qcheck counterexamples, pinned as they were printed.  Both
+   once let the ring's last, empty vnode leave under arrivals with
+   live replication off, after which every arrival was charged to
+   tasks_lost.  The diffusive one came from QCHECK_SEED=692892841, the
+   strength-aware one from 190274274. *)
+let empty_ring_scenarios =
+  let parse of_string s =
+    match of_string s with Ok v -> v | Error e -> invalid_arg e
+  in
+  [
+    ( "empty-ring-diffusive",
+      { nodes = 8; tasks = 78; churn = 0.2; fail = 0.05; hetero = true;
+        strength_work = true; clustered = true; sybil_threshold = 0;
+        period = 1; stagger = false; rejoin_fresh = false;
+        split_median = false; avoid_repeats = false; max_ticks_factor = 5;
+        seed = 114943;
+        faults =
+          parse Faults.of_string
+            "crash=1@2+3@6,straggle=1,straggle-delay=0,retry-budget=3,\
+             partition=2-12";
+        replicas = 0; repair_lag = 1;
+        arrivals = parse Arrivals.of_string "diurnal=3:2:3,horizon=8,window=7";
+        attack = Attack.none; puzzle_cost = 0 } );
+    ( "empty-ring-strength-aware",
+      { nodes = 2; tasks = 0; churn = 0.0; fail = 0.1; hetero = false;
+        strength_work = false; clustered = false; sybil_threshold = 0;
+        period = 1; stagger = false; rejoin_fresh = true;
+        split_median = false; avoid_repeats = false; max_ticks_factor = 5;
+        seed = 420506;
+        faults =
+          parse Faults.of_string
+            "drop=0.1,crash=1@2+3@6,straggle=1,straggle-delay=0,retry-budget=0";
+        replicas = 0; repair_lag = 1;
+        arrivals = parse Arrivals.of_string "poisson=2,horizon=11,window=2";
+        attack = Attack.none; puzzle_cost = 1 } );
+  ]
+
 let test_oracle_faulted (label, s) () =
   List.iter
     (fun strat ->
@@ -953,6 +990,15 @@ let transfer_cases =
         (test_oracle_faulted (label, s)))
     transfer_scenarios
 
+let empty_ring_cases =
+  List.map
+    (fun (label, s) ->
+      Alcotest.test_case
+        (Printf.sprintf "regression %s" label)
+        `Quick
+        (test_oracle_faulted (label, s)))
+    empty_ring_scenarios
+
 let stressed_cases =
   List.map
     (fun strat ->
@@ -969,6 +1015,6 @@ let () =
         :: Alcotest.test_case "accounting edges" `Quick
              test_oracle_accounting_edges
         :: (stressed_cases @ faulted_cases @ arrival_cases @ attack_cases
-           @ transfer_cases) );
+           @ transfer_cases @ empty_ring_cases) );
       ("properties", prop_engine_matches_reference :: oracle_props);
     ]
