@@ -73,29 +73,30 @@ cmp "$ckpt_dir/reference.json" "$ckpt_dir/resumed.json"
 echo "    resumed result byte-identical to the uninterrupted run"
 rm -rf "$ckpt_dir"
 
-echo "==> journaled sweep resume smoke (truncated journal recomputes only the missing cells)"
-# A journaled attack-sweep must print the same table as an unjournaled
-# one; truncating the journal to its first 3 cells and rerunning must
-# recompute exactly the missing cells, print a byte-identical table,
-# and leave the journal complete again.
+echo "==> journaled sweep resume smoke (truncated journals recompute only the missing cells)"
+# Every sweep that finishes in seconds (table2 takes minutes, so it is
+# left out) must print the same output journaled as unjournaled;
+# truncating its journal to the first 3 cells and rerunning must
+# recompute exactly the missing cells, print byte-identical output, and
+# leave the journal complete again.
 sweep_dir=$(mktemp -d)
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  > "$sweep_dir/reference.txt"
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  --journal "$sweep_dir/sweep.jsonl" > "$sweep_dir/full.txt"
-cmp "$sweep_dir/reference.txt" "$sweep_dir/full.txt"
-cells=$(wc -l < "$sweep_dir/sweep.jsonl")
-head -n 3 "$sweep_dir/sweep.jsonl" > "$sweep_dir/truncated.jsonl"
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  --journal "$sweep_dir/truncated.jsonl" > "$sweep_dir/resumed.txt"
-cmp "$sweep_dir/reference.txt" "$sweep_dir/resumed.txt"
-repaired=$(wc -l < "$sweep_dir/truncated.jsonl")
-if [ "$repaired" -ne "$cells" ]; then
-  echo "==> journal smoke FAILED: $repaired cells after resume, expected $cells" >&2
-  rm -rf "$sweep_dir"
-  exit 1
-fi
-echo "    resumed sweep byte-identical; journal repaired to $cells cells"
+sweep() { DHTLB_CHECK=1 "$dhtlb" "$name" --trials 1 --seed 11 "$@"; }
+for name in recovery-sweep attack-sweep steady-sweep head-to-head degrade; do
+  sweep > "$sweep_dir/reference.txt"
+  sweep --journal "$sweep_dir/$name.jsonl" > "$sweep_dir/full.txt"
+  cmp "$sweep_dir/reference.txt" "$sweep_dir/full.txt"
+  cells=$(wc -l < "$sweep_dir/$name.jsonl")
+  head -n 3 "$sweep_dir/$name.jsonl" > "$sweep_dir/truncated.jsonl"
+  sweep --journal "$sweep_dir/truncated.jsonl" > "$sweep_dir/resumed.txt"
+  cmp "$sweep_dir/reference.txt" "$sweep_dir/resumed.txt"
+  repaired=$(wc -l < "$sweep_dir/truncated.jsonl")
+  if [ "$repaired" -ne "$cells" ]; then
+    echo "==> journal smoke FAILED ($name): $repaired cells after resume, expected $cells" >&2
+    rm -rf "$sweep_dir"
+    exit 1
+  fi
+  echo "    $name: resumed byte-identical; journal repaired to $cells cells"
+done
 rm -rf "$sweep_dir"
 
 echo "==> attack smoke (Sybil eclipse through the real CLI, invariant-checked, undefended then defended)"

@@ -1,306 +1,82 @@
 let f = Printf.sprintf "%.6f"
 
-let table1_csv rows =
-  Csv_out.table
-    ~header:[ "nodes"; "tasks"; "median_workload"; "sigma" ]
-    (List.map
-       (fun (r : Initial_distribution.table1_row) ->
-         [
-           string_of_int r.Initial_distribution.nodes;
-           string_of_int r.Initial_distribution.tasks;
-           f r.Initial_distribution.median_workload;
-           f r.Initial_distribution.sigma;
-         ])
-       rows)
-
-let churn_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "churn_rate";
-        "nodes";
-        "tasks";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Churn_sweep.cell) ->
-         let a = c.Churn_sweep.aggregate in
-         [
-           f c.Churn_sweep.churn_rate;
-           string_of_int c.Churn_sweep.nodes;
-           string_of_int c.Churn_sweep.tasks;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (* empty cell rather than "nan" when every trial aborted *)
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
-let degradation_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "drop_rate";
-        "strategy";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Degradation.cell) ->
-         let a = c.Degradation.aggregate in
-         [
-           f c.Degradation.drop;
-           Strategy.name c.Degradation.strategy;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
-let lookup_hops_csv rows =
-  Csv_out.table
-    ~header:[ "nodes"; "lookups"; "mean_hops"; "p99_hops"; "expected" ]
-    (List.map
-       (fun (r : Lookup_hops.row) ->
-         [
-           string_of_int r.Lookup_hops.nodes;
-           string_of_int r.Lookup_hops.lookups;
-           f r.Lookup_hops.mean_hops;
-           f r.Lookup_hops.p99_hops;
-           f r.Lookup_hops.expected;
-         ])
-       rows)
-
-let maintenance_csv rows =
-  Csv_out.table
-    ~header:
-      [
-        "churn_rate";
-        "rounds";
-        "messages_per_node_round";
-        "finger_messages_per_node_round";
-        "mean_stale_heads";
-        "final_consistent";
-        "final_finger_accuracy";
-      ]
-    (List.map
-       (fun (r : Maintenance.row) ->
-         [
-           f r.Maintenance.churn_rate;
-           string_of_int r.Maintenance.rounds;
-           f r.Maintenance.messages_per_node_round;
-           f r.Maintenance.finger_messages_per_node_round;
-           f r.Maintenance.mean_stale_heads;
-           string_of_bool r.Maintenance.final_consistent;
-           f r.Maintenance.final_finger_accuracy;
-         ])
-       rows)
-
-let failure_recovery_csv rows =
-  Csv_out.table
-    ~header:[ "fail_fraction"; "replicas"; "measured_loss_rate"; "expected_loss_rate" ]
-    (List.map
-       (fun (r : Failure_recovery.row) ->
-         [
-           f r.Failure_recovery.fail_fraction;
-           string_of_int r.Failure_recovery.replicas;
-           f r.Failure_recovery.measured_loss_rate;
-           f r.Failure_recovery.expected_loss_rate;
-         ])
-       rows)
-
-let recovery_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "replicas";
-        "burst_count";
-        "burst_fraction";
-        "measured_loss_rate";
-        "expected_loss_rate";
-        "mean_factor";
-        "mean_tasks_lost";
-        "trials";
-      ]
-    (List.map
-       (fun (c : Recovery_sweep.cell) ->
-         let a = c.Recovery_sweep.aggregate in
-         [
-           string_of_int c.Recovery_sweep.replicas;
-           string_of_int c.Recovery_sweep.burst_count;
-           f c.Recovery_sweep.burst_fraction;
-           f c.Recovery_sweep.measured_loss_rate;
-           f c.Recovery_sweep.expected_loss_rate;
-           f a.Runner.mean_factor;
-           f a.Runner.mean_tasks_lost;
-           string_of_int a.Runner.trials;
-         ])
-       cells)
-
-(* NaN percentiles (no completions in the window) become empty cells,
-   matching the finished-only convention above. *)
+(* NaN cells (say, sojourn percentiles of a window with no completion)
+   export as empty. *)
 let fnan v = if Float.is_nan v then "" else f v
 
+let columns cols rows =
+  Csv_out.table ~header:(List.map fst cols)
+    (List.map (fun r -> List.map (fun (_, cell) -> cell r) cols) rows)
+
+let table1_csv rows =
+  columns
+    [
+      ("nodes", fun r -> string_of_int r.Initial_distribution.nodes);
+      ("tasks", fun r -> string_of_int r.Initial_distribution.tasks);
+      ("median_workload", fun r -> f r.Initial_distribution.median_workload);
+      ("sigma", fun r -> f r.Initial_distribution.sigma);
+    ]
+    rows
+
+let lookup_hops_csv rows =
+  columns
+    [
+      ("nodes", fun r -> string_of_int r.Lookup_hops.nodes);
+      ("lookups", fun r -> string_of_int r.Lookup_hops.lookups);
+      ("mean_hops", fun r -> f r.Lookup_hops.mean_hops);
+      ("p99_hops", fun r -> f r.Lookup_hops.p99_hops);
+      ("expected", fun r -> f r.Lookup_hops.expected);
+    ]
+    rows
+
+let maintenance_csv rows =
+  columns
+    [
+      ("churn_rate", fun r -> f r.Maintenance.churn_rate);
+      ("rounds", fun r -> string_of_int r.Maintenance.rounds);
+      ( "messages_per_node_round",
+        fun r -> f r.Maintenance.messages_per_node_round );
+      ( "finger_messages_per_node_round",
+        fun r -> f r.Maintenance.finger_messages_per_node_round );
+      ("mean_stale_heads", fun r -> f r.Maintenance.mean_stale_heads);
+      ( "final_consistent",
+        fun r -> string_of_bool r.Maintenance.final_consistent );
+      ("final_finger_accuracy", fun r -> f r.Maintenance.final_finger_accuracy);
+    ]
+    rows
+
+let failure_recovery_csv rows =
+  columns
+    [
+      ("fail_fraction", fun r -> f r.Failure_recovery.fail_fraction);
+      ("replicas", fun r -> string_of_int r.Failure_recovery.replicas);
+      ("measured_loss_rate", fun r -> f r.Failure_recovery.measured_loss_rate);
+      ("expected_loss_rate", fun r -> f r.Failure_recovery.expected_loss_rate);
+    ]
+    rows
+
 let steady_csv windows =
-  Csv_out.table
-    ~header:
-      [
-        "window";
-        "start_tick";
-        "ticks";
-        "arrivals";
-        "completions";
-        "arrival_rate";
-        "completion_rate";
-        "queue_p50";
-        "queue_p95";
-        "queue_p99";
-        "sojourn_p50";
-        "sojourn_p95";
-        "sojourn_p99";
-        "sojourn_mean";
-        "sybil_min";
-        "sybil_max";
-        "sybil_mean";
-      ]
-    (Array.to_list
-       (Array.map
-          (fun (w : Steady.window) ->
-            [
-              string_of_int w.Steady.index;
-              string_of_int w.Steady.start_tick;
-              string_of_int w.Steady.ticks;
-              string_of_int w.Steady.arrivals;
-              string_of_int w.Steady.completions;
-              f w.Steady.arrival_rate;
-              f w.Steady.completion_rate;
-              f w.Steady.queue_p50;
-              f w.Steady.queue_p95;
-              f w.Steady.queue_p99;
-              fnan w.Steady.sojourn_p50;
-              fnan w.Steady.sojourn_p95;
-              fnan w.Steady.sojourn_p99;
-              fnan w.Steady.sojourn_mean;
-              string_of_int w.Steady.sybil_min;
-              string_of_int w.Steady.sybil_max;
-              f w.Steady.sybil_mean;
-            ])
-          windows))
-
-let steady_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strategy";
-        "rate";
-        "churn";
-        "trials";
-        "mean_arrived";
-        "mean_tasks_lost";
-        "queue_p50";
-        "queue_p95";
-        "queue_p99";
-        "sojourn_p50";
-        "sojourn_p95";
-        "sojourn_p99";
-      ]
-    (List.map
-       (fun (c : Steady_sweep.cell) ->
-         let a = c.Steady_sweep.aggregate in
-         [
-           Strategy.name c.Steady_sweep.strategy;
-           f c.Steady_sweep.rate;
-           f c.Steady_sweep.churn;
-           string_of_int a.Runner.trials;
-           f a.Runner.mean_arrived;
-           f a.Runner.mean_tasks_lost;
-           fnan a.Runner.steady_queue_p50;
-           fnan a.Runner.steady_queue_p95;
-           fnan a.Runner.steady_queue_p99;
-           fnan a.Runner.steady_sojourn_p50;
-           fnan a.Runner.steady_sojourn_p95;
-           fnan a.Runner.steady_sojourn_p99;
-         ])
-       cells)
-
-let attack_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strength";
-        "puzzle_cost";
-        "mean_attack_joins";
-        "mean_puzzles";
-        "mean_tasks_lost";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Attack_sweep.cell) ->
-         let a = c.Attack_sweep.aggregate in
-         [
-           string_of_int c.Attack_sweep.strength;
-           string_of_int c.Attack_sweep.puzzle_cost;
-           f c.Attack_sweep.mean_attack_joins;
-           f c.Attack_sweep.mean_puzzles;
-           f c.Attack_sweep.mean_tasks_lost;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
-let head_to_head_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strategy";
-        "churn";
-        "drop";
-        "mean_work_transfers";
-        "mean_key_transfers";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Headtohead.cell) ->
-         let a = c.Headtohead.aggregate in
-         [
-           Strategy.name c.Headtohead.strategy;
-           f c.Headtohead.churn;
-           f c.Headtohead.drop;
-           f c.Headtohead.mean_work_transfers;
-           f c.Headtohead.mean_key_transfers;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
+  columns
+    [
+      ("window", fun w -> string_of_int w.Steady.index);
+      ("start_tick", fun w -> string_of_int w.Steady.start_tick);
+      ("ticks", fun w -> string_of_int w.Steady.ticks);
+      ("arrivals", fun w -> string_of_int w.Steady.arrivals);
+      ("completions", fun w -> string_of_int w.Steady.completions);
+      ("arrival_rate", fun w -> f w.Steady.arrival_rate);
+      ("completion_rate", fun w -> f w.Steady.completion_rate);
+      ("queue_p50", fun w -> f w.Steady.queue_p50);
+      ("queue_p95", fun w -> f w.Steady.queue_p95);
+      ("queue_p99", fun w -> f w.Steady.queue_p99);
+      ("sojourn_p50", fun w -> fnan w.Steady.sojourn_p50);
+      ("sojourn_p95", fun w -> fnan w.Steady.sojourn_p95);
+      ("sojourn_p99", fun w -> fnan w.Steady.sojourn_p99);
+      ("sojourn_mean", fun w -> fnan w.Steady.sojourn_mean);
+      ("sybil_min", fun w -> string_of_int w.Steady.sybil_min);
+      ("sybil_max", fun w -> string_of_int w.Steady.sybil_max);
+      ("sybil_mean", fun w -> f w.Steady.sybil_mean);
+    ]
+    (Array.to_list windows)
 
 let work_timeline_csv series =
   let header =
@@ -328,19 +104,15 @@ let work_timeline_csv series =
   Csv_out.table ~header rows
 
 let trace_csv trace =
-  Csv_out.table
-    ~header:[ "tick"; "work_done"; "remaining"; "active_nodes"; "vnodes" ]
-    (Array.to_list
-       (Array.map
-          (fun (p : Trace.point) ->
-            [
-              string_of_int p.Trace.tick;
-              string_of_int p.Trace.work_done;
-              string_of_int p.Trace.remaining;
-              string_of_int p.Trace.active_nodes;
-              string_of_int p.Trace.vnodes;
-            ])
-          (Trace.points trace)))
+  columns
+    [
+      ("tick", fun p -> string_of_int p.Trace.tick);
+      ("work_done", fun p -> string_of_int p.Trace.work_done);
+      ("remaining", fun p -> string_of_int p.Trace.remaining);
+      ("active_nodes", fun p -> string_of_int p.Trace.active_nodes);
+      ("vnodes", fun p -> string_of_int p.Trace.vnodes);
+    ]
+    (Array.to_list (Trace.points trace))
 
 let messages_json (m : Messages.t) =
   Json_out.Obj
@@ -417,10 +189,15 @@ let result_json (r : Engine.result) =
       [ ("metrics", metrics_json r.Engine.metrics) ]
     else [])
 
-let aggregate_json ~label (a : Runner.aggregate) =
+(* The one aggregate encoder, for --json output and sweep journals
+   alike.  Every field is kept, so a journal-resumed sweep prints and
+   exports byte-identically to an uninterrupted one: floats survive the
+   trip exactly (Json_out renders %.17g, Json_in reads it back) and NaN
+   travels as null. *)
+let aggregate_json ?label (a : Runner.aggregate) =
   Json_out.Obj
-    [
-      ("label", Json_out.String label);
+    ((match label with Some l -> [ ("label", Json_out.String l) ] | None -> [])
+    @ [
       ("trials", Json_out.Int a.Runner.trials);
       ("mean_factor", Json_out.Float a.Runner.mean_factor);
       ("stddev_factor", Json_out.Float a.Runner.stddev_factor);
@@ -445,68 +222,42 @@ let aggregate_json ~label (a : Runner.aggregate) =
       ("steady_sojourn_p50", Json_out.Float a.Runner.steady_sojourn_p50);
       ("steady_sojourn_p95", Json_out.Float a.Runner.steady_sojourn_p95);
       ("steady_sojourn_p99", Json_out.Float a.Runner.steady_sojourn_p99);
-    ]
+    ])
 
-let head_to_head_json cells makespans =
-  Json_out.Obj
-    [
-      ( "grid",
-        Json_out.List
-          (List.map
-             (fun (c : Headtohead.cell) ->
-               Json_out.Obj
-                 [
-                   ( "strategy",
-                     Json_out.String (Strategy.name c.Headtohead.strategy) );
-                   ("churn", Json_out.Float c.Headtohead.churn);
-                   ("drop", Json_out.Float c.Headtohead.drop);
-                   ( "mean_work_transfers",
-                     Json_out.Float c.Headtohead.mean_work_transfers );
-                   ( "mean_key_transfers",
-                     Json_out.Float c.Headtohead.mean_key_transfers );
-                   ( "aggregate",
-                     aggregate_json
-                       ~label:
-                         (Printf.sprintf "%s churn=%g drop=%g"
-                            (Strategy.name c.Headtohead.strategy)
-                            c.Headtohead.churn c.Headtohead.drop)
-                       c.Headtohead.aggregate );
-                 ])
-             cells) );
-      ( "makespans",
-        Json_out.List
-          (List.map
-             (fun (m : Headtohead.makespan) ->
-               Json_out.Obj
-                 [
-                   ( "strategy",
-                     Json_out.String (Strategy.name m.Headtohead.ms_strategy) );
-                   ("warm_vnodes", Json_out.Int m.Headtohead.warm_vnodes);
-                   ("map_makespan", Json_out.Int m.Headtohead.map_makespan);
-                   ( "reduce_makespan",
-                     Json_out.Int m.Headtohead.reduce_makespan );
-                   ("total_makespan", Json_out.Int m.Headtohead.total_makespan);
-                 ])
-             makespans) );
-    ]
-
-let attack_sweep_json cells =
-  Json_out.List
-    (List.map
-       (fun (c : Attack_sweep.cell) ->
-         Json_out.Obj
-           [
-             ("strength", Json_out.Int c.Attack_sweep.strength);
-             ("puzzle_cost", Json_out.Int c.Attack_sweep.puzzle_cost);
-             ( "mean_attack_joins",
-               Json_out.Float c.Attack_sweep.mean_attack_joins );
-             ("mean_puzzles", Json_out.Float c.Attack_sweep.mean_puzzles);
-             ("mean_tasks_lost", Json_out.Float c.Attack_sweep.mean_tasks_lost);
-             ( "aggregate",
-               aggregate_json
-                 ~label:
-                   (Printf.sprintf "strength=%d puzzle_cost=%d"
-                      c.Attack_sweep.strength c.Attack_sweep.puzzle_cost)
-                 c.Attack_sweep.aggregate );
-           ])
-       cells)
+(* Fields are looked up by name, so journals written with any field
+   order still decode. *)
+let aggregate_of_json v =
+  let get conv name =
+    match Option.bind (Json_in.member name v) conv with
+    | Some x -> x
+    | None -> raise_notrace Exit
+  in
+  let int = get Json_in.to_int and flt = get Json_in.to_float in
+  match
+    {
+      Runner.trials = int "trials";
+      open_system = get Json_in.to_bool "open_system";
+      mean_factor = flt "mean_factor";
+      stddev_factor = flt "stddev_factor";
+      min_factor = flt "min_factor";
+      max_factor = flt "max_factor";
+      mean_ticks = flt "mean_ticks";
+      mean_ideal = flt "mean_ideal";
+      aborted = int "aborted";
+      finished = int "finished";
+      timed_out = int "timed_out";
+      mean_factor_finished = flt "mean_factor_finished";
+      mean_ticks_finished = flt "mean_ticks_finished";
+      mean_messages = flt "mean_messages";
+      mean_tasks_lost = flt "mean_tasks_lost";
+      mean_arrived = flt "mean_arrived";
+      steady_queue_p50 = flt "steady_queue_p50";
+      steady_queue_p95 = flt "steady_queue_p95";
+      steady_queue_p99 = flt "steady_queue_p99";
+      steady_sojourn_p50 = flt "steady_sojourn_p50";
+      steady_sojourn_p95 = flt "steady_sojourn_p95";
+      steady_sojourn_p99 = flt "steady_sojourn_p99";
+    }
+  with
+  | a -> Some a
+  | exception Exit -> None

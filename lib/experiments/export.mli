@@ -1,30 +1,20 @@
 (** Machine-readable exports of experiment results (CSV / JSON). *)
 
+val columns : (string * ('a -> string)) list -> 'a list -> string
+(** A CSV table from (header, cell) columns, one row per value. *)
+
+val fnan : float -> string
+(** A float cell: six decimals, or empty for NaN. *)
+
 val table1_csv : Initial_distribution.table1_row list -> string
-val churn_sweep_csv : Churn_sweep.cell list -> string
-val degradation_csv : Degradation.cell list -> string
 val lookup_hops_csv : Lookup_hops.row list -> string
 val maintenance_csv : Maintenance.row list -> string
 val failure_recovery_csv : Failure_recovery.row list -> string
-val recovery_sweep_csv : Recovery_sweep.cell list -> string
-
-val attack_sweep_csv : Attack_sweep.cell list -> string
-(** The adversarial sweep grid, one row per strength × puzzle_cost
-    cell: landed Sybils, puzzles issued, recovery-plane loss, and the
-    makespan-factor family. *)
-
-val head_to_head_csv : Headtohead.cell list -> string
-(** The strategy-family grid, one row per strategy × churn × drop cell:
-    the two transfer currencies plus the makespan-factor family. *)
 
 val steady_csv : Steady.window array -> string
 (** One open-system run's measurement windows: arrival/completion rates,
     queue and sojourn percentiles, Sybil-count extremes per window.  NaN
     sojourn cells (no completions in the window) export as empty. *)
-
-val steady_sweep_csv : Steady_sweep.cell list -> string
-(** The steady-state sweep grid, one row per
-    strategy × rate × churn cell. *)
 
 val work_timeline_csv : Work_timeline.series list -> string
 
@@ -41,13 +31,10 @@ val result_json : Engine.result -> Json_out.t
     ["metrics"] object when the run had metrics enabled; the shape is
     unchanged otherwise. *)
 
-val aggregate_json : label:string -> Runner.aggregate -> Json_out.t
+val aggregate_json : ?label:string -> Runner.aggregate -> Json_out.t
+(** Every {!Runner.aggregate} field, after a ["label"] member when one
+    is given.  Floats render exactly and NaN as null, so the encoding
+    round-trips through {!aggregate_of_json}. *)
 
-val attack_sweep_json : Attack_sweep.cell list -> Json_out.t
-(** The adversarial sweep as a JSON list, one object per cell with the
-    full aggregate embedded. *)
-
-val head_to_head_json :
-  Headtohead.cell list -> Headtohead.makespan list -> Json_out.t
-(** The head-to-head comparison as one object: the ["grid"] cells (full
-    aggregates embedded) and the ChordReduce ["makespans"] leg. *)
+val aggregate_of_json : Json_out.t -> Runner.aggregate option
+(** Members are read by name; [None] if any is missing or mistyped. *)

@@ -15,7 +15,6 @@
    skipped on reload by the total parser. *)
 
 type t = {
-  path : string;
   cells : (string, Json_out.t) Hashtbl.t;
   oc : out_channel;
   mutable loaded : int;  (** cells recovered from a pre-existing file *)
@@ -66,9 +65,8 @@ let open_ path =
    end);
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   if !torn_tail then output_char oc '\n';
-  { path; cells; oc; loaded = !loaded }
+  { cells; oc; loaded = !loaded }
 
-let path t = t.path
 let loaded t = t.loaded
 let find t ~key = Hashtbl.find_opt t.cells key
 
@@ -97,86 +95,3 @@ let cell journal ~key:k ~encode ~decode compute =
       let v = compute () in
       record j ~key:k (encode v);
       v)
-
-(* Full-fidelity aggregate codec: every field of Runner.aggregate, so a
-   journal-resumed sweep prints and exports byte-identically to an
-   uninterrupted one.  Floats survive the trip exactly (Json_out renders
-   %.17g, Json_in reads it back; NaN travels as null). *)
-let aggregate_to_json (a : Runner.aggregate) =
-  Json_out.Obj
-    [
-      ("trials", Json_out.Int a.Runner.trials);
-      ("open_system", Json_out.Bool a.Runner.open_system);
-      ("mean_factor", Json_out.Float a.Runner.mean_factor);
-      ("stddev_factor", Json_out.Float a.Runner.stddev_factor);
-      ("min_factor", Json_out.Float a.Runner.min_factor);
-      ("max_factor", Json_out.Float a.Runner.max_factor);
-      ("mean_ticks", Json_out.Float a.Runner.mean_ticks);
-      ("mean_ideal", Json_out.Float a.Runner.mean_ideal);
-      ("aborted", Json_out.Int a.Runner.aborted);
-      ("finished", Json_out.Int a.Runner.finished);
-      ("timed_out", Json_out.Int a.Runner.timed_out);
-      ("mean_factor_finished", Json_out.Float a.Runner.mean_factor_finished);
-      ("mean_ticks_finished", Json_out.Float a.Runner.mean_ticks_finished);
-      ("mean_messages", Json_out.Float a.Runner.mean_messages);
-      ("mean_tasks_lost", Json_out.Float a.Runner.mean_tasks_lost);
-      ("mean_arrived", Json_out.Float a.Runner.mean_arrived);
-      ("steady_queue_p50", Json_out.Float a.Runner.steady_queue_p50);
-      ("steady_queue_p95", Json_out.Float a.Runner.steady_queue_p95);
-      ("steady_queue_p99", Json_out.Float a.Runner.steady_queue_p99);
-      ("steady_sojourn_p50", Json_out.Float a.Runner.steady_sojourn_p50);
-      ("steady_sojourn_p95", Json_out.Float a.Runner.steady_sojourn_p95);
-      ("steady_sojourn_p99", Json_out.Float a.Runner.steady_sojourn_p99);
-    ]
-
-let aggregate_of_json v =
-  let ( let* ) = Option.bind in
-  let int name = Option.bind (Json_in.member name v) Json_in.to_int in
-  let flt name = Option.bind (Json_in.member name v) Json_in.to_float in
-  let* trials = int "trials" in
-  let* open_system = Option.bind (Json_in.member "open_system" v) Json_in.to_bool in
-  let* mean_factor = flt "mean_factor" in
-  let* stddev_factor = flt "stddev_factor" in
-  let* min_factor = flt "min_factor" in
-  let* max_factor = flt "max_factor" in
-  let* mean_ticks = flt "mean_ticks" in
-  let* mean_ideal = flt "mean_ideal" in
-  let* aborted = int "aborted" in
-  let* finished = int "finished" in
-  let* timed_out = int "timed_out" in
-  let* mean_factor_finished = flt "mean_factor_finished" in
-  let* mean_ticks_finished = flt "mean_ticks_finished" in
-  let* mean_messages = flt "mean_messages" in
-  let* mean_tasks_lost = flt "mean_tasks_lost" in
-  let* mean_arrived = flt "mean_arrived" in
-  let* steady_queue_p50 = flt "steady_queue_p50" in
-  let* steady_queue_p95 = flt "steady_queue_p95" in
-  let* steady_queue_p99 = flt "steady_queue_p99" in
-  let* steady_sojourn_p50 = flt "steady_sojourn_p50" in
-  let* steady_sojourn_p95 = flt "steady_sojourn_p95" in
-  let* steady_sojourn_p99 = flt "steady_sojourn_p99" in
-  Some
-    {
-      Runner.trials;
-      open_system;
-      mean_factor;
-      stddev_factor;
-      min_factor;
-      max_factor;
-      mean_ticks;
-      mean_ideal;
-      aborted;
-      finished;
-      timed_out;
-      mean_factor_finished;
-      mean_ticks_finished;
-      mean_messages;
-      mean_tasks_lost;
-      mean_arrived;
-      steady_queue_p50;
-      steady_queue_p95;
-      steady_queue_p99;
-      steady_sojourn_p50;
-      steady_sojourn_p95;
-      steady_sojourn_p99;
-    }

@@ -22,8 +22,6 @@ val open_ : string -> t
     appending.  Duplicate keys resolve to the last line, matching append
     order. *)
 
-val path : t -> string
-
 val loaded : t -> int
 (** Number of cell lines recovered from the pre-existing file (0 for a
     fresh journal) — lets drivers report "resuming, N cells done". *)
@@ -52,10 +50,3 @@ val cell :
     return the decoded cached cell if [key] is present and decodes, else
     compute, {!record}, and return.  A cached payload that fails to
     decode is recomputed and overwritten, not trusted. *)
-
-val aggregate_to_json : Runner.aggregate -> Json_out.t
-
-val aggregate_of_json : Json_out.t -> Runner.aggregate option
-(** Full-fidelity {!Runner.aggregate} codec (every field; floats exact
-    via Json_out's round-trip rendering, NaN as null) so journal-resumed
-    sweeps print and export byte-identically to uninterrupted ones. *)

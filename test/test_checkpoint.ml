@@ -415,11 +415,16 @@ let test_journal_undecodable_payload_recomputed () =
 let test_journaled_sweep_resumes_bit_identical () =
   with_temp_file ".jsonl" @@ fun path ->
   Sys.remove path;
-  let rates = [ 0.0; 0.01 ] and configs = [ (12, 100) ] in
-  let fresh = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs () in
+  let sweep =
+    {
+      Sweep.table2 with
+      Sweep.axes = [ Sweep.floats "churn_rate" [ 0.0; 0.01 ]; Sweep.networks [ (12, 100) ] ];
+    }
+  in
+  let fresh = Sweep.run ~trials:2 ~seed:5 sweep in
   (* full journaled run, then truncate the journal to its first line *)
   let j = Journal.open_ path in
-  let journaled = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs ~journal:j () in
+  let journaled = Sweep.run ~trials:2 ~seed:5 ~journal:j sweep in
   Journal.close j;
   Alcotest.(check bool) "journaled run matches plain run" true
     (compare fresh journaled = 0);
@@ -439,14 +444,14 @@ let test_journaled_sweep_resumes_bit_identical () =
   close_out oc;
   let j = Journal.open_ path in
   Alcotest.(check int) "one cell survives truncation" 1 (Journal.loaded j);
-  let resumed = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs ~journal:j () in
+  let resumed = Sweep.run ~trials:2 ~seed:5 ~journal:j sweep in
   Journal.close j;
   Alcotest.(check bool) "resumed sweep is bit-identical" true
     (compare fresh resumed = 0);
   (* a different seed shares no keys: everything recomputes, the journal
      doubles in size *)
   let j = Journal.open_ path in
-  ignore (Churn_sweep.run ~trials:2 ~seed:6 ~rates ~configs ~journal:j ());
+  ignore (Sweep.run ~trials:2 ~seed:6 ~journal:j sweep);
   Alcotest.(check int) "changed seed recomputes every cell"
     (2 * List.length fresh)
     (Hashtbl.length
@@ -464,7 +469,7 @@ let test_journaled_sweep_resumes_bit_identical () =
 let test_aggregate_codec_roundtrip () =
   let params = { small_params with Params.seed = 3 } in
   let a = Runner.run_trials ~trials:3 params (fun () -> Engine.no_strategy) in
-  match Journal.aggregate_of_json (Journal.aggregate_to_json a) with
+  match Export.aggregate_of_json (Export.aggregate_json a) with
   | None -> Alcotest.fail "aggregate codec failed to decode its own output"
   | Some b ->
     Alcotest.(check bool) "aggregate survives the codec bit-for-bit" true
@@ -474,12 +479,12 @@ let test_aggregate_codec_roundtrip () =
    what actually sits in the journal file. *)
 let test_aggregate_codec_textual_roundtrip () =
   let a = Runner.run_trials ~trials:2 small_params (fun () -> Engine.no_strategy) in
-  let text = Json_out.to_string (Journal.aggregate_to_json a) in
+  let text = Json_out.to_string (Export.aggregate_json a) in
   match Json_in.parse text with
   | Error e ->
     Alcotest.failf "unparseable aggregate JSON: %s" (Json_in.error_to_string e)
   | Ok v -> (
-    match Journal.aggregate_of_json v with
+    match Export.aggregate_of_json v with
     | None -> Alcotest.fail "parsed aggregate JSON failed to decode"
     | Some b ->
       Alcotest.(check bool) "textual round trip is exact" true (compare a b = 0))

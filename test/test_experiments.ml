@@ -40,20 +40,35 @@ let test_figures_1_3_render () =
   let f3 = Initial_distribution.figure3 ~seed:3 () in
   Alcotest.(check bool) "figure3 labelled evenly" true (contains f3 "evenly")
 
+(* A sweep cell's named column as a number. *)
+let number sweep cell name =
+  match Sweep.field sweep cell name with
+  | Sweep.Float x -> x
+  | Sweep.Int x -> float_of_int x
+  | Sweep.Strategy _ | Sweep.Text _ -> Alcotest.failf "%s is not a number" name
+
 let test_churn_sweep_small () =
-  let cells =
-    Churn_sweep.run ~trials:1 ~seed:5 ~rates:[ 0.0; 0.02 ]
-      ~configs:[ (50, 1_000) ] ()
+  let sweep =
+    {
+      Sweep.table2 with
+      Sweep.axes =
+        [ Sweep.floats "churn_rate" [ 0.0; 0.02 ]; Sweep.networks [ (50, 1_000) ] ];
+    }
   in
+  let cells = Sweep.run ~trials:1 ~seed:5 sweep in
   Alcotest.(check int) "two cells" 2 (List.length cells);
   let factor rate =
-    match List.find_opt (fun c -> c.Churn_sweep.churn_rate = rate) cells with
-    | Some c -> c.Churn_sweep.aggregate.Runner.mean_factor
+    match
+      List.find_opt
+        (fun (c : Sweep.cell) -> Sweep.float c.Sweep.coords "churn_rate" = rate)
+        cells
+    with
+    | Some c -> c.Sweep.aggregate.Runner.mean_factor
     | None -> Alcotest.fail "missing cell"
   in
   (* churn helps (Table II's direction) *)
   Alcotest.(check bool) "churn lowers factor" true (factor 0.02 < factor 0.0);
-  let printed = Churn_sweep.print_table cells in
+  let printed = Sweep.table sweep cells in
   Alcotest.(check bool) "table header" true (contains printed "Churn")
 
 let test_paired_figure_small () =
@@ -135,51 +150,61 @@ let test_failure_recovery_small () =
   Alcotest.(check bool) "table header" true (contains printed "replicas")
 
 let test_recovery_sweep_small () =
-  let cells =
-    Recovery_sweep.run ~seed:6 ~nodes:24 ~tasks:1_200 ~trials:2
-      ~replica_counts:[ 1; 3 ] ~burst_counts:[ 12 ] ()
+  let sweep =
+    {
+      Sweep.recovery with
+      Sweep.axes = [ Sweep.ints "replicas" [ 1; 3 ]; Sweep.ints "burst_count" [ 12 ] ];
+      fixed = Sweep.sizes 24 1_200;
+    }
   in
+  let cells = Sweep.run ~trials:2 ~seed:6 sweep in
+  let loss c = number sweep c "measured_loss_rate" in
   Alcotest.(check int) "two cells" 2 (List.length cells);
   (match cells with
   | [ r1; r3 ] ->
-    Alcotest.(check bool) "more replicas never lose more" true
-      (r3.Recovery_sweep.measured_loss_rate
-      <= r1.Recovery_sweep.measured_loss_rate);
+    Alcotest.(check bool) "more replicas never lose more" true (loss r3 <= loss r1);
     List.iter
-      (fun (c : Recovery_sweep.cell) ->
+      (fun (c : Sweep.cell) ->
         Alcotest.(check bool) "loss rate in [0, 1]" true
-          (c.Recovery_sweep.measured_loss_rate >= 0.0
-          && c.Recovery_sweep.measured_loss_rate <= 1.0);
+          (loss c >= 0.0 && loss c <= 1.0);
         Alcotest.(check bool) "aggregate ledger matches rate" true
-          (Float.abs
-             (c.Recovery_sweep.aggregate.Runner.mean_tasks_lost
-             -. (c.Recovery_sweep.measured_loss_rate *. 1_200.0))
+          (Float.abs (c.Sweep.aggregate.Runner.mean_tasks_lost -. (loss c *. 1_200.0))
           < 1e-6))
       cells
   | _ -> Alcotest.fail "cell shape");
-  let printed = Recovery_sweep.print_table cells in
+  let printed = Sweep.table sweep cells in
   Alcotest.(check bool) "table header" true (contains printed "expected f^r+1");
   Alcotest.(check bool) "csv header" true
-    (contains (Export.recovery_sweep_csv cells) "measured_loss_rate")
+    (contains (Sweep.csv sweep cells) "measured_loss_rate")
 
 let test_attack_sweep_small () =
-  let cells =
-    Attack_sweep.run ~trials:1 ~seed:13 ~nodes:24 ~tasks:1_000 ~window:(2, 10)
-      ~strengths:[ 0; 3 ] ~puzzle_costs:[ 0 ] ()
+  let sweep =
+    {
+      Sweep.attack with
+      Sweep.axes =
+        [
+          Sweep.strategies "strategy" [ Strategy.Random_injection ];
+          Sweep.ints "strength" [ 0; 3 ];
+          Sweep.ints "puzzle_cost" [ 0 ];
+        ];
+      fixed =
+        Sweep.sizes 24 1_000 @ [ ("replicas", Sweep.Int 2) ];
+    }
   in
+  let cells = Sweep.run ~trials:1 ~seed:13 sweep in
   Alcotest.(check int) "two cells" 2 (List.length cells);
   (match cells with
   | [ baseline; attacked ] ->
     Alcotest.(check (float 1e-9)) "no attacker, no attack joins" 0.0
-      baseline.Attack_sweep.mean_attack_joins;
+      (number sweep baseline "mean_attack_joins");
     Alcotest.(check bool) "attacker injects" true
-      (attacked.Attack_sweep.mean_attack_joins > 0.0);
+      (number sweep attacked "mean_attack_joins" > 0.0);
     Alcotest.(check (float 1e-9)) "defense off, no puzzles" 0.0
-      attacked.Attack_sweep.mean_puzzles
+      (number sweep attacked "mean_puzzles")
   | _ -> Alcotest.fail "cell shape");
-  let printed = Attack_sweep.print_table cells in
+  let printed = Sweep.table sweep cells in
   Alcotest.(check bool) "table header" true (contains printed "puzzle");
-  let csv = Export.attack_sweep_csv cells in
+  let csv = Sweep.csv sweep cells in
   Alcotest.(check bool) "csv header" true (contains csv "mean_attack_joins");
   Alcotest.(check bool) "csv tracks tasks_lost" true
     (contains csv "mean_tasks_lost")
