@@ -117,6 +117,50 @@ let test_shuffle () =
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted;
   Alcotest.(check bool) "actually moved" false (a = Array.init 50 Fun.id)
 
+(* Known answers recorded from the generator as first written: any
+   change to the state representation must leave every stream
+   bit-identical, or every golden pin downstream shifts. *)
+let test_known_answers () =
+  let first16 seed =
+    let rng = Prng.create seed in
+    List.init 16 (fun _ -> Prng.bits64 rng)
+  in
+  Alcotest.(check (list int64)) "seed 0"
+    [
+      0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+      0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL; 0xdb032c0ba7539731L;
+      0xeb3a475a3e749a3dL; 0x1d42993fa43f2a54L; 0x11361bf526a14bb5L;
+      0x1b4f07a5ab3d8e9cL; 0xa7a3257f6986db7fL; 0x7efdaa95605dfc9cL;
+      0x4bde97c0a78eaab8L;
+    ]
+    (first16 0);
+  Alcotest.(check (list int64)) "seed 42"
+    [
+      0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L; 0xc2e96e726e97647eL;
+      0x9556615f775fbc3dL; 0xaeb53b340c103971L; 0x4a69db9873af8965L;
+      0xcd0feda93006c6b6L; 0x52480865a4b42742L; 0xb60dec3bf2d887cdL;
+      0xe0b55a68b96677faL;
+    ]
+    (first16 42);
+  let parent = Prng.create 42 in
+  let child = Prng.split parent in
+  Alcotest.(check int64) "split child" 0x8ee445d14631c453L (Prng.bits64 child);
+  Alcotest.(check int64) "split advances parent" 0x6104d9866d113a7eL
+    (Prng.bits64 parent);
+  let b = Bytes.create 16 in
+  Prng.fill_bytes (Prng.create 42) b;
+  Alcotest.(check string) "fill_bytes 16"
+    "\x16\xc7\x2e\x0c\x2e\x0b\x78\x15\x7e\x3a\x11\x6d\x86\xd9\x04\x61"
+    (Bytes.to_string b);
+  let rng = Prng.create 42 in
+  let f1 = Prng.float_unit rng in
+  let f2 = Prng.float_unit rng in
+  Alcotest.(check (float 0.0)) "float_unit 1" 0x1.5780b2e0c2ecp-4 f1;
+  Alcotest.(check (float 0.0)) "float_unit 2" 0x1.84136619b444ep-2 f2
+
 (* capture/restore is the checkpoint primitive: a generator restored
    from a captured state (or a fresh one built from it) must replay
    exactly the draw sequence the original produced. *)
@@ -166,6 +210,7 @@ let () =
             test_bernoulli_rejects_out_of_range;
           Alcotest.test_case "fill_bytes" `Quick test_fill_bytes;
           Alcotest.test_case "shuffle" `Quick test_shuffle;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
         ] );
       ( "properties",
         [ prop_int_below_in_range; prop_capture_restore_replays ] );
