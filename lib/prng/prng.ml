@@ -1,4 +1,20 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** words live unboxed in one 32-byte buffer
+   (little-endian, s0 at offset 0 up to s3 at offset 24).  A record of
+   mutable [int64] fields boxes every word it stores, so each draw
+   allocated four fresh boxes; reading the words into locals lets the
+   compiler keep them unboxed, and only the returned draw is boxed. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (8 * i)
+let set t i v = Bytes.set_int64_le t (8 * i) v
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 (* SplitMix64: used only for seeding and stream splitting. *)
 let splitmix_next state =
@@ -19,8 +35,8 @@ let of_seed64 seed =
      for at most one of the four draws, so this is already impossible, but
      guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
 
@@ -30,14 +46,17 @@ let rotl x k =
 (* xoshiro256** *)
 let bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 (logxor s2 tmp);
+  set t 3 (rotl s3 45);
   result
 
 let split t = of_seed64 (bits64 t)
@@ -92,22 +111,19 @@ let fill_bytes t buf =
 
 type state = { c0 : int64; c1 : int64; c2 : int64; c3 : int64 }
 
-let capture t = { c0 = t.s0; c1 = t.s1; c2 = t.s2; c3 = t.s3 }
+let capture t = { c0 = get t 0; c1 = get t 1; c2 = get t 2; c3 = get t 3 }
 
 let restore t s =
-  t.s0 <- s.c0;
-  t.s1 <- s.c1;
-  t.s2 <- s.c2;
-  t.s3 <- s.c3
+  set t 0 s.c0;
+  set t 1 s.c1;
+  set t 2 s.c2;
+  set t 3 s.c3
 
 let state_equal a b =
   Int64.equal a.c0 b.c0 && Int64.equal a.c1 b.c1 && Int64.equal a.c2 b.c2
   && Int64.equal a.c3 b.c3
 
-let of_state s =
-  let t = { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L } in
-  restore t s;
-  t
+let of_state s = of_words s.c0 s.c1 s.c2 s.c3
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
