@@ -14,7 +14,7 @@ let () =
   let rng = Prng.create 99 in
   let ids = Keygen.node_ids rng n in
 
-  let ring = Array.fold_left (fun r id -> Ring.add id () r) Ring.empty ids in
+  let ring = Ring.of_ids ids in
   let chord_tables = Routing.build_tables ring in
   let symphony = Symphony.build rng ~ids ~long_links:4 in
   let kademlia = Kademlia.build rng ~ids ~k:8 in

@@ -9,9 +9,7 @@ let describe ~label ~node_ids ~task_keys =
   Printf.printf "%s\n" label;
   print_string (Circle.render_ascii ~size:29 ~nodes:node_ids ~tasks:task_keys ());
   (* Tasks per node under Chord responsibility. *)
-  let ring =
-    Array.fold_left (fun r id -> Ring.add id () r) Ring.empty node_ids
-  in
+  let ring = Ring.of_ids node_ids in
   let counts = Hashtbl.create 16 in
   Array.iter
     (fun key ->

@@ -7,7 +7,7 @@
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v1
+     DHTLB-CKPT v2
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
@@ -16,12 +16,19 @@
    The body is marshaled with default flags: [Engine.progress] is plain
    data (no closures anywhere — the strategy is re-supplied at resume),
    and default marshaling preserves the intra-value sharing the state
-   relies on (one vnode record reachable from the ring, the hash index
-   and its machine's vnode list must stay one block, which
-   [State.check_invariants] tests by physical equality). *)
+   relies on: each ring node is reachable from its neighbours' links,
+   its tree parent and the hash index, and must stay one block, as must
+   the vnode record it holds, which its machine's vnode list shares
+   ([State.check_invariants] tests both by physical equality).  The
+   ring's links are cyclic, which default marshaling also handles.
+
+   Version history: v1 held the persistent ring map and boxed PRNG
+   words; v2 holds the mutable linked ring and the PRNG's 32-byte state
+   buffer, so a v1 body no longer unmarshals into this build's types
+   and is refused on its header. *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 1
+let format_version = 2
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with

@@ -11,7 +11,7 @@
     The file is self-describing: a text header
 
     {v
-DHTLB-CKPT v1
+DHTLB-CKPT v2
 git_rev <rev>
 params_digest <40-hex sha1>
 tick <n>
@@ -27,7 +27,7 @@ tick <n>
     agrees, which a rev string can neither prove nor disprove. *)
 
 type header = {
-  version : int;  (** the file's format version (currently 1) *)
+  version : int;  (** the file's format version (currently 2) *)
   git_rev : string;  (** revision recorded at save time *)
   params_digest : string;  (** SHA-1 over the marshaled {!Params.t} *)
   tick : int;  (** tick the checkpoint was taken at *)

@@ -1,19 +1,20 @@
 type 'a vnode = { id : Id.t; mutable keys : Id_set.t; payload : 'a }
 
 type 'a t = {
-  mutable ring : 'a vnode Ring.t;
-  (* Hash index over the same vnodes: point lookups (find/workload/
+  ring : 'a vnode Ring.t;
+  (* Hash index from ids to ring nodes: point lookups (find/workload/
      consume) are O(1) instead of an O(log n) ring descent, which the
      strategies' every-decision-period workload scans hit for every
-     vnode of every machine. *)
-  index : (Id.t, 'a vnode) Hashtbl.t;
+     vnode of every machine, and a member's neighbours are one link
+     away from its node. *)
+  index : (Id.t, 'a vnode Ring.node) Hashtbl.t;
   mutable total_keys : int;
   messages : Messages.t;
 }
 
 let create () =
   {
-    ring = Ring.empty;
+    ring = Ring.create ();
     index = Hashtbl.create 256;
     total_keys = 0;
     messages = Messages.create ();
@@ -22,52 +23,45 @@ let create () =
 let messages t = t.messages
 let size t = Ring.cardinal t.ring
 let total_keys t = t.total_keys
-let find t id = Hashtbl.find_opt t.index id
+let find t id =
+  match Hashtbl.find_opt t.index id with
+  | Some n -> Some (Ring.value n)
+  | None -> None
 
 let join t ~id ~payload =
   if Hashtbl.mem t.index id then Error `Occupied
   else begin
     t.messages.joins <- t.messages.joins + 1;
-    let keys =
-      match Ring.successor id t.ring with
-      | None -> Id_set.empty (* first vnode: nothing to take over *)
-      | Some (_, succ) ->
-        (* The newcomer's arc is (pred(id), id]; carve it out of the keys
-           currently held by the successor. *)
-        let after =
-          match Ring.predecessor id t.ring with
-          | Some (p, _) -> p
-          | None -> assert false
-        in
-        let arc = Interval.make ~after ~upto:id in
-        let inside, outside = Id_set.split_arc arc succ.keys in
-        succ.keys <- outside;
-        t.messages.key_transfers <- t.messages.key_transfers + Id_set.cardinal inside;
-        inside
-    in
-    let vn = { id; keys; payload } in
-    t.ring <- Ring.add id vn t.ring;
-    Hashtbl.replace t.index id vn;
+    let vn = { id; keys = Id_set.empty; payload } in
+    let node = Ring.add id vn t.ring in
+    let succ = Ring.value (Ring.next node) in
+    (* The first vnode has nothing to take over; any later one carves
+       its arc (pred(id), id] out of its successor's keys. *)
+    if succ != vn then begin
+      let inside, outside = Id_set.split_arc (Ring.node_arc node) succ.keys in
+      succ.keys <- outside;
+      t.messages.key_transfers <- t.messages.key_transfers + Id_set.cardinal inside;
+      vn.keys <- inside
+    end;
+    Hashtbl.replace t.index id node;
     Ok vn
   end
 
 let leave t id =
   match Hashtbl.find_opt t.index id with
   | None -> Error `Not_member
-  | Some vn ->
+  | Some node ->
     if Ring.cardinal t.ring = 1 then Error `Last_node
     else begin
       t.messages.leaves <- t.messages.leaves + 1;
-      t.ring <- Ring.remove id t.ring;
+      let vn = Ring.value node and succ = Ring.value (Ring.next node) in
+      Ring.remove_node node t.ring;
       Hashtbl.remove t.index id;
-      (match Ring.successor id t.ring with
-      | Some (_, succ) ->
-        let moved = Id_set.cardinal vn.keys in
-        if moved > 0 then begin
-          succ.keys <- Id_set.union succ.keys vn.keys;
-          t.messages.key_transfers <- t.messages.key_transfers + moved
-        end
-      | None -> assert false);
+      let moved = Id_set.cardinal vn.keys in
+      if moved > 0 then begin
+        succ.keys <- Id_set.union succ.keys vn.keys;
+        t.messages.key_transfers <- t.messages.key_transfers + moved
+      end;
       (* The record is out of the ring; empty it so a caller still
          holding it cannot read phantom workload. *)
       vn.keys <- Id_set.empty;
@@ -82,19 +76,17 @@ let leave t id =
 let crash t id =
   match Hashtbl.find_opt t.index id with
   | None -> Error `Not_member
-  | Some vn ->
+  | Some node ->
     t.messages.leaves <- t.messages.leaves + 1;
-    t.ring <- Ring.remove id t.ring;
+    Ring.remove_node node t.ring;
     Hashtbl.remove t.index id;
+    let vn = Ring.value node in
     let keys = vn.keys in
     vn.keys <- Id_set.empty;
     t.total_keys <- t.total_keys - Id_set.cardinal keys;
     Ok keys
 
-let owner_of t key =
-  match Ring.successor_incl key t.ring with
-  | None -> None
-  | Some (_, vn) -> Some vn
+let owner_of t key = Option.map Ring.value (Ring.first_at_or_after key t.ring)
 
 (* Recovery after a crash: re-insert a crashed vnode's keys at their
    current owner — the first surviving vnode clockwise of [near] (the
@@ -170,28 +162,20 @@ let insert_keys t keys =
       if hi <= lo then Id_set.empty
       else Id_set.of_sorted_array (Array.sub distinct lo (hi - lo))
     in
-    let bindings = Ring.bindings t.ring in
-    (match bindings with
-    | [] -> assert false
-    | (first_id, first_vn) :: rest ->
-      let last_id =
-        match List.rev rest with (id, _) :: _ -> id | [] -> first_id
-      in
-      if rest = [] then
-        (* A lone vnode owns the whole ring. *)
-        give first_vn (slice 0 n)
-      else begin
-        (* Wrap arc (last, first]: the tail beyond the last vnode plus
-           the head up to and including the first. *)
-        give first_vn
-          (Id_set.union (slice (first_gt last_id) n) (slice 0 (first_gt first_id)));
-        let prev = ref first_id in
-        List.iter
-          (fun (id, vn) ->
-            give vn (slice (first_gt !prev) (first_gt id));
-            prev := id)
-          rest
-      end);
+    if Ring.cardinal t.ring = 1 then
+      (* A lone vnode owns the whole ring. *)
+      Ring.iter (fun _ vn -> give vn (slice 0 n)) t.ring
+    else
+      Ring.iter_nodes
+        (fun node ->
+          let vn = Ring.value node and after = Ring.key (Ring.prev node) in
+          let upto = first_gt vn.id in
+          if Id.compare after vn.id > 0 then
+            (* The smallest id's arc (last, first] wraps: the tail
+               beyond the last vnode plus the head up to the first. *)
+            give vn (Id_set.union (slice (first_gt after) n) (slice 0 upto))
+          else give vn (slice (first_gt after) upto))
+        t.ring;
     t.total_keys <- t.total_keys + !inserted;
     Ok !inserted
   end
@@ -253,29 +237,38 @@ let transfer_keys ~pick t ~src ~dst n =
 let consume ~pick t id n =
   match Hashtbl.find_opt t.index id with
   | None -> 0
-  | Some vn -> consume_vnode ~pick t vn n
+  | Some node -> consume_vnode ~pick t (Ring.value node) n
 
 let workload t id =
   match Hashtbl.find_opt t.index id with
   | None -> 0
-  | Some vn -> Id_set.cardinal vn.keys
+  | Some node -> Id_set.cardinal (Ring.value node).keys
 
-let arc_of t id = Ring.arc_of id t.ring
+(* A member's neighbours are one link away from its index entry; any
+   other id pays one descent to find where it would sit. *)
+let near step first t id =
+  match Hashtbl.find_opt t.index id with
+  | Some n -> Some (step n)
+  | None -> first id t.ring
 
-let successor t id =
-  match Ring.successor id t.ring with None -> None | Some (_, vn) -> Some vn
+let arc_of t id = Option.map Ring.node_arc (Hashtbl.find_opt t.index id)
+let successor t id = Option.map Ring.value (near Ring.next Ring.first_after t id)
+let predecessor t id = Option.map Ring.value (near Ring.prev Ring.last_before t id)
 
-let predecessor t id =
-  match Ring.predecessor id t.ring with None -> None | Some (_, vn) -> Some vn
+let k_neighbors step first t id k =
+  match near step first t id with
+  | None -> []
+  | Some n -> Ring.take n ~step (min k (size t - 1))
 
-let k_successors t id k = List.map snd (Ring.k_successors id k t.ring)
-let k_predecessors t id k = List.map snd (Ring.k_predecessors id k t.ring)
+let k_successors t id k = k_neighbors Ring.next Ring.first_after t id k
+let k_predecessors t id k = k_neighbors Ring.prev Ring.last_before t id k
 let iter f t = Ring.iter (fun _ vn -> f vn) t.ring
 let fold f t acc = Ring.fold (fun _ vn acc -> f vn acc) t.ring acc
 let vnode_ids t = List.map fst (Ring.bindings t.ring)
 let ring t = t.ring
 
 let check_invariants t =
+  Ring.check t.ring;
   let counted = fold (fun vn acc -> acc + Id_set.cardinal vn.keys) t 0 in
   if counted <> t.total_keys then
     invalid_arg
@@ -287,7 +280,7 @@ let check_invariants t =
   iter
     (fun vn ->
       (match Hashtbl.find_opt t.index vn.id with
-      | Some vn' when vn' == vn -> ()
+      | Some n when Ring.value n == vn && Id.equal (Ring.key n) vn.id -> ()
       | Some _ -> invalid_arg "Dht: index points at a stale vnode"
       | None -> invalid_arg "Dht: ring vnode missing from index");
       match arc_of t vn.id with

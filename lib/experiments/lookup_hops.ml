@@ -10,11 +10,7 @@ let run ?(seed = 42) ?(sizes = [ 64; 128; 256; 512; 1024; 2048 ]) ?(lookups = 50
   List.map
     (fun nodes ->
       let rng = Prng.create seed in
-      let ring =
-        Array.fold_left
-          (fun r id -> Ring.add id () r)
-          Ring.empty (Keygen.node_ids rng nodes)
-      in
+      let ring = Ring.of_ids (Keygen.node_ids rng nodes) in
       let tables = Routing.build_tables ring in
       let members = Array.of_list (List.map fst (Ring.bindings ring)) in
       let hops = Array.make lookups 0.0 in

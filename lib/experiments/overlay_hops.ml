@@ -13,7 +13,7 @@ let run ?(seed = 42) ?(sizes = [ 128; 512; 2048 ]) ?(lookups = 300) () =
     (fun nodes ->
       let rng = Prng.create seed in
       let ids = Keygen.node_ids rng nodes in
-      let ring = Array.fold_left (fun r id -> Ring.add id () r) Ring.empty ids in
+      let ring = Ring.of_ids ids in
       let tables = Routing.build_tables ring in
       let symphony = Symphony.build rng ~ids ~long_links:symphony_links in
       let kademlia = Kademlia.build rng ~ids ~k:kademlia_k in

@@ -43,9 +43,7 @@ let stats_of_loads n_workers loads =
 
 let run ~workers ~input job =
   if Array.length workers = 0 then invalid_arg "Mapreduce.run: no workers";
-  let ring =
-    Array.fold_left (fun r wid -> Ring.add wid () r) Ring.empty workers
-  in
+  let ring = Ring.of_ids workers in
   let n = Array.length workers in
   (* Map phase: each record is a task on the worker owning its chunk id. *)
   let map_loads = Hashtbl.create n in

@@ -11,17 +11,15 @@ let build rng ~ids ~long_links =
   let n = Array.length ids in
   if n = 0 then invalid_arg "Symphony.build: no members";
   if long_links < 0 then invalid_arg "Symphony.build: negative long_links";
-  let membership =
-    Array.fold_left (fun r id -> Ring.add id () r) Ring.empty ids
-  in
+  let membership = Ring.of_ids ids in
   let owner key =
     match Ring.successor_incl key membership with
     | Some (o, ()) -> o
     | None -> assert false
   in
-  let members =
-    Array.fold_left
-      (fun acc id ->
+  let members = Ring.create () in
+  Array.iter
+      (fun id ->
         let succ =
           match Ring.successor id membership with
           | Some (s, ()) -> s
@@ -41,9 +39,10 @@ let build rng ~ids ~long_links =
           end
         in
         let links = if n > 1 then draw 0 [] long_links else [] in
-        Ring.add id { succ; links } acc)
-      Ring.empty ids
-  in
+        (* A repeated id keeps its first entry, as in [membership]. *)
+        if not (Ring.mem id members) then
+          ignore (Ring.add id { succ; links } members : node Ring.node))
+      ids;
   { members; n }
 
 let size t = t.n

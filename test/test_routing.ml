@@ -2,9 +2,7 @@
 
 let build_ring ?(seed = 42) n =
   let rng = Prng.create seed in
-  Array.fold_left
-    (fun r id -> Ring.add id () r)
-    Ring.empty (Keygen.node_ids rng n)
+  Ring.of_ids (Keygen.node_ids rng n)
 
 let test_fingers_point_at_successors () =
   let ring = build_ring 64 in
@@ -77,11 +75,11 @@ let test_lookup_hops_logarithmic () =
     Alcotest.failf "mean hops %.2f too high (expected ~%.2f)" mean expect
 
 let test_lookup_trivia () =
+  let empty = Ring.create () in
   Alcotest.(check bool) "empty ring" true
-    (Routing.lookup Ring.empty (Routing.build_tables Ring.empty) ~start:Id.zero
-       ~key:Id.zero
+    (Routing.lookup empty (Routing.build_tables empty) ~start:Id.zero ~key:Id.zero
     = None);
-  let lone = Ring.add (Id.of_int 5) () Ring.empty in
+  let lone = Ring.of_ids [| Id.of_int 5 |] in
   let tables = Routing.build_tables lone in
   (match Routing.lookup lone tables ~start:(Id.of_int 5) ~key:(Id.of_int 77) with
   | Some (owner, _) -> Alcotest.check Testutil.check_id "lone owner" (Id.of_int 5) owner
