@@ -53,24 +53,34 @@ echo "==> checkpoint kill-and-resume smoke (SIGKILL mid-run, resumed result must
 # (still identical) run; killed after the horizon, the rerun resumes
 # from the last periodic checkpoint and replays the tail.  The direct
 # binary path (not dune exec) keeps the kill from hitting a wrapper.
+# Two configurations: invitation, and random injection with live
+# replication and two crash bursts, whose checkpoints hold the cyclic
+# linked ring mid-churn, live Sybils and the replica map.
 dhtlb=./_build/default/bin/dhtlb.exe
 ckpt_dir=$(mktemp -d)
-ckpt_args="--nodes 300 --tasks 10000 --churn 0.02 --strategy invitation \
-  --arrivals poisson=60,horizon=3000,window=100 --seed 7"
-DHTLB_CHECK=1 "$dhtlb" stream $ckpt_args \
-  --out "$ckpt_dir/reference.json" >/dev/null
-DHTLB_CHECK=1 "$dhtlb" stream $ckpt_args \
-  --checkpoint "$ckpt_dir/run.ckpt" --checkpoint-every 200 \
-  --out "$ckpt_dir/killed.json" >/dev/null 2>&1 &
-victim=$!
-sleep 0.7
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
-DHTLB_CHECK=1 "$dhtlb" stream $ckpt_args \
-  --checkpoint "$ckpt_dir/run.ckpt" --resume \
-  --out "$ckpt_dir/resumed.json" >/dev/null
-cmp "$ckpt_dir/reference.json" "$ckpt_dir/resumed.json"
-echo "    resumed result byte-identical to the uninterrupted run"
+resume_smoke() {
+  DHTLB_CHECK=1 "$dhtlb" stream "$@" \
+    --out "$ckpt_dir/reference.json" >/dev/null
+  DHTLB_CHECK=1 "$dhtlb" stream "$@" \
+    --checkpoint "$ckpt_dir/run.ckpt" --checkpoint-every 200 \
+    --out "$ckpt_dir/killed.json" >/dev/null 2>&1 &
+  victim=$!
+  sleep 0.7
+  kill -9 "$victim" 2>/dev/null || true
+  wait "$victim" 2>/dev/null || true
+  DHTLB_CHECK=1 "$dhtlb" stream "$@" \
+    --checkpoint "$ckpt_dir/run.ckpt" --resume \
+    --out "$ckpt_dir/resumed.json" >/dev/null
+  cmp "$ckpt_dir/reference.json" "$ckpt_dir/resumed.json"
+  rm -f "$ckpt_dir/run.ckpt"
+}
+resume_smoke --nodes 300 --tasks 10000 --churn 0.02 --strategy invitation \
+  --arrivals poisson=60,horizon=3000,window=100 --seed 7
+echo "    invitation: resumed result byte-identical to the uninterrupted run"
+resume_smoke --nodes 300 --tasks 10000 --churn 0.02 --strategy random \
+  --replicas 2 --faults crash=20@400+15@1500 \
+  --arrivals poisson=60,horizon=3000,window=100 --seed 7
+echo "    random + replicas 2 + crashes: resumed result byte-identical to the uninterrupted run"
 rm -rf "$ckpt_dir"
 
 echo "==> journaled sweep resume smoke (truncated journals recompute only the missing cells)"

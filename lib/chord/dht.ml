@@ -268,6 +268,8 @@ let vnode_ids t = List.map fst (Ring.bindings t.ring)
 let ring t = t.ring
 
 let check_invariants t =
+  (* The ring itself: links in in-order sequence, exact AVL heights and
+     balance, size. *)
   Ring.check t.ring;
   let counted = fold (fun vn acc -> acc + Id_set.cardinal vn.keys) t 0 in
   if counted <> t.total_keys then
@@ -277,24 +279,26 @@ let check_invariants t =
     invalid_arg
       (Printf.sprintf "Dht: index has %d entries but ring has %d"
          (Hashtbl.length t.index) (Ring.cardinal t.ring));
-  iter
-    (fun vn ->
+  Ring.iter_nodes
+    (fun node ->
+      let vn = Ring.value node in
+      if not (Id.equal vn.id (Ring.key node)) then
+        invalid_arg "Dht: ring node keyed apart from its vnode";
       (match Hashtbl.find_opt t.index vn.id with
-      | Some n when Ring.value n == vn && Id.equal (Ring.key n) vn.id -> ()
-      | Some _ -> invalid_arg "Dht: index points at a stale vnode"
+      | Some n when n == node -> ()
+      | Some _ -> invalid_arg "Dht: index points at a stale ring node"
       | None -> invalid_arg "Dht: ring vnode missing from index");
-      match arc_of t vn.id with
-      | None -> invalid_arg "Dht: vnode without arc"
-      | Some arc ->
-        (* Diffusive work transfers place tasks outside their owner's
-           arc by design, so arc membership is only a law while no
-           transfer has happened. *)
-        if t.messages.work_transfers = 0 then
-          Id_set.iter
-            (fun key ->
-              if not (Interval.mem key arc) then
-                invalid_arg
-                  (Format.asprintf "Dht: key %a outside arc %a of vnode %a" Id.pp
-                     key Interval.pp arc Id.pp vn.id))
-            vn.keys)
-    t
+      (* Diffusive work transfers place tasks outside their owner's arc
+         by design, so arc membership is only a law while no transfer
+         has happened. *)
+      if t.messages.work_transfers = 0 then begin
+        let arc = Ring.node_arc node in
+        Id_set.iter
+          (fun key ->
+            if not (Interval.mem key arc) then
+              invalid_arg
+                (Format.asprintf "Dht: key %a outside arc %a of vnode %a" Id.pp key
+                   Interval.pp arc Id.pp vn.id))
+          vn.keys
+      end)
+    t.ring

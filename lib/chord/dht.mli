@@ -10,9 +10,22 @@
     - a vnode leaving hands its remaining keys to its successor.
 
     The payload type ['a] carries simulator state (e.g. which physical
-    node owns the vnode).  The structure is mutable; all operations are
-    O(log n) plus the size of any key range moved.  Message costs are
-    charged to the embedded {!Messages.t}. *)
+    node owns the vnode).  The structure is mutable: one {!Ring.t}
+    (an AVL tree whose nodes are also linked in id order) plus a hash
+    index from ids to ring nodes.  Costs, for [n] vnodes:
+
+    - {!join}: one tree descent, which also yields the newcomer's
+      neighbours, plus the key split;
+    - {!leave}, {!crash}: an O(1) index lookup and unlink, then one
+      descent to detach from the tree, plus any key merge;
+    - {!find}, {!workload}, {!consume}: O(1) through the index;
+    - {!successor}, {!predecessor}, {!arc_of}: O(1) for a member id (its
+      index entry links to both neighbours), one O(log n) descent for
+      any other id; {!k_successors}, {!k_predecessors} add O(k);
+    - {!owner_of}, {!insert_key}, {!restore}: one descent;
+    - {!iter}, {!fold}, {!vnode_ids}: O(n), following the links.
+
+    Message costs are charged to the embedded {!Messages.t}. *)
 
 type 'a vnode = private {
   id : Id.t;
@@ -123,15 +136,25 @@ val arc_of : 'a t -> Id.t -> Interval.t option
 val successor : 'a t -> Id.t -> 'a vnode option
 val predecessor : 'a t -> Id.t -> 'a vnode option
 val k_successors : 'a t -> Id.t -> int -> 'a vnode list
+(** Up to [k] vnodes clockwise of [id], nearest first, never [id]
+    itself and never one twice: at most [size - 1], whether or not [id]
+    is a member. *)
+
 val k_predecessors : 'a t -> Id.t -> int -> 'a vnode list
+(** {!k_successors}, counterclockwise. *)
 
 val iter : ('a vnode -> unit) -> 'a t -> unit
 val fold : ('a vnode -> 'b -> 'b) -> 'a t -> 'b -> 'b
 val vnode_ids : 'a t -> Id.t list
 val ring : 'a t -> 'a vnode Ring.t
-(** The underlying ring, e.g. for building finger tables. *)
+(** The live ring itself, not a snapshot: later joins, leaves and
+    crashes change it in place.  For building finger tables and
+    benchmarks; mutating it directly would desynchronise the index. *)
 
 val check_invariants : 'a t -> unit
-(** Asserts: key counts consistent and — while no work transfer has
-    happened ([work_transfers = 0]) — every key owned by the correct
-    vnode.  O(n·keys); for tests only. *)
+(** Asserts: the ring's own structure ({!Ring.check}: links match the
+    in-order traversal, every AVL height and balance is exact); the
+    index and the ring hold the same nodes; key counts consistent; and
+    — while no work transfer has happened ([work_transfers = 0]) —
+    every key owned by the correct vnode.  O(n·keys); for tests and the
+    [DHTLB_CHECK=1] battery. *)
