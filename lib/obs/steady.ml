@@ -31,7 +31,8 @@ type t = {
   mutable completions : int;
   mutable queues : int list;
   mutable sybils : int list;
-  mutable sojourns : int list;
+  mutable sojourns : int array;  (* the first [n_sojourns], in arrival order *)
+  mutable n_sojourns : int;
   mutable closed : window list;  (* reverse order *)
 }
 
@@ -46,20 +47,27 @@ let create ~window =
     completions = 0;
     queues = [];
     sybils = [];
-    sojourns = [];
+    sojourns = [||];
+    n_sojourns = 0;
     closed = [];
   }
 
-let floats_of_ints l = Array.of_list (List.rev_map float_of_int l)
+(* Sorted as ints: a float array sorted through the polymorphic sort
+   boxes every element it reads. *)
+let sorted_floats a =
+  let c = Array.copy a in
+  Array.sort Int.compare c;
+  Array.map float_of_int c
 
-let percentile_or_nan a p =
-  if Array.length a = 0 then Float.nan else Descriptive.percentile a p
+let percentile_or_nan s p =
+  if Array.length s = 0 then Float.nan else Descriptive.percentile_sorted s p
 
 (* Pure: summarize the current accumulators into a window record. *)
 let make_window t =
   let ticks = t.ticks in
-  let queues = floats_of_ints t.queues in
-  let sojourns = floats_of_ints t.sojourns in
+  let queues = sorted_floats (Array.of_list t.queues) in
+  let sojourns = Array.sub t.sojourns 0 t.n_sojourns in
+  let sorted_sojourns = sorted_floats sojourns in
   let sybil_min, sybil_max, sybil_sum =
     List.fold_left
       (fun (lo, hi, sum) s -> (min lo s, max hi s, sum + s))
@@ -78,12 +86,15 @@ let make_window t =
     queue_p99 = percentile_or_nan queues 99.0;
     (* A window in which nothing completed has no sojourn sample — NaN,
        rendered as null in JSON exports, never a fake zero. *)
-    sojourn_p50 = percentile_or_nan sojourns 50.0;
-    sojourn_p95 = percentile_or_nan sojourns 95.0;
-    sojourn_p99 = percentile_or_nan sojourns 99.0;
+    sojourn_p50 = percentile_or_nan sorted_sojourns 50.0;
+    sojourn_p95 = percentile_or_nan sorted_sojourns 95.0;
+    sojourn_p99 = percentile_or_nan sorted_sojourns 99.0;
     sojourn_mean =
       (if Array.length sojourns = 0 then Float.nan
-       else Descriptive.mean sojourns);
+       else
+         (* Summed in arrival order, as [Descriptive.mean] would. *)
+         Array.fold_left (fun acc x -> acc +. float_of_int x) 0.0 sojourns
+         /. float_of_int (Array.length sojourns));
     sybil_min = (if sybil_min = max_int then 0 else sybil_min);
     sybil_max = (if sybil_max = min_int then 0 else sybil_max);
     sybil_mean = float_of_int sybil_sum /. float_of_int ticks;
@@ -95,7 +106,16 @@ let note t ~arrivals ~completions ~queue ~sybils ~sojourns =
   t.completions <- t.completions + completions;
   t.queues <- queue :: t.queues;
   t.sybils <- sybils :: t.sybils;
-  t.sojourns <- List.rev_append sojourns t.sojourns;
+  List.iter
+    (fun x ->
+      if t.n_sojourns = Array.length t.sojourns then begin
+        let grown = Array.make (max 256 (2 * t.n_sojourns)) 0 in
+        Array.blit t.sojourns 0 grown 0 t.n_sojourns;
+        t.sojourns <- grown
+      end;
+      t.sojourns.(t.n_sojourns) <- x;
+      t.n_sojourns <- t.n_sojourns + 1)
+    sojourns;
   if t.ticks >= t.window then begin
     t.closed <- make_window t :: t.closed;
     t.index <- t.index + 1;
@@ -105,7 +125,7 @@ let note t ~arrivals ~completions ~queue ~sybils ~sojourns =
     t.completions <- 0;
     t.queues <- [];
     t.sybils <- [];
-    t.sojourns <- []
+    t.n_sojourns <- 0
   end
 
 let windows t =

@@ -44,17 +44,20 @@ let stddev_int a =
   nonempty "Descriptive.stddev_int" a;
   stddev (Array.map float_of_int a)
 
-let percentile a p =
-  nonempty "Descriptive.percentile" a;
+let percentile_sorted s p =
+  nonempty "Descriptive.percentile" s;
   if not (p >= 0.0 && p <= 100.0) then
     invalid_arg "Descriptive.percentile: p out of [0,100]";
-  let s = sorted_copy a in
   let n = Array.length s in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = min (lo + 1) (n - 1) in
   let frac = rank -. float_of_int lo in
   s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
+
+let percentile a p =
+  nonempty "Descriptive.percentile" a;
+  percentile_sorted (sorted_copy a) p
 
 let summarize a =
   nonempty "Descriptive.summarize" a;

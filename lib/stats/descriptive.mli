@@ -31,6 +31,10 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0, 100], linear interpolation between
     order statistics; does not mutate its input. *)
 
+val percentile_sorted : float array -> float -> float
+(** {!percentile} of an array already in ascending order, without the
+    sorted copy. *)
+
 val summarize : float array -> summary
 val summarize_int : int array -> summary
 
