@@ -19,30 +19,30 @@ let build rng ~ids ~long_links =
   in
   let members = Ring.create () in
   Array.iter
-      (fun id ->
-        let succ =
-          match Ring.successor id membership with
-          | Some (s, ()) -> s
-          | None -> id
-        in
-        let rec draw tries acc_links remaining =
-          if remaining = 0 || tries > 20 * long_links then acc_links
-          else begin
-            let d = harmonic_fraction rng ~n in
-            let target =
-              Id.add id (Id.of_fraction (Float.min d 0.999999))
-            in
-            let link = owner target in
-            if Id.equal link id || List.exists (Id.equal link) acc_links then
-              draw (tries + 1) acc_links remaining
-            else draw (tries + 1) (link :: acc_links) (remaining - 1)
-          end
-        in
-        let links = if n > 1 then draw 0 [] long_links else [] in
-        (* A repeated id keeps its first entry, as in [membership]. *)
-        if not (Ring.mem id members) then
-          ignore (Ring.add id { succ; links } members : node Ring.node))
-      ids;
+    (fun id ->
+      let succ =
+        match Ring.successor id membership with
+        | Some (s, ()) -> s
+        | None -> id
+      in
+      let rec draw tries acc_links remaining =
+        if remaining = 0 || tries > 20 * long_links then acc_links
+        else begin
+          let d = harmonic_fraction rng ~n in
+          let target =
+            Id.add id (Id.of_fraction (Float.min d 0.999999))
+          in
+          let link = owner target in
+          if Id.equal link id || List.exists (Id.equal link) acc_links then
+            draw (tries + 1) acc_links remaining
+          else draw (tries + 1) (link :: acc_links) (remaining - 1)
+        end
+      in
+      let links = if n > 1 then draw 0 [] long_links else [] in
+      (* A repeated id keeps its first entry, as in [membership]. *)
+      if not (Ring.mem id members) then
+        ignore (Ring.add id { succ; links } members : node Ring.node))
+    ids;
   { members; n }
 
 let size t = t.n
