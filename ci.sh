@@ -34,6 +34,15 @@ DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- simulate \
   --nodes 200 --tasks 20000 --churn 0.02 --failures 0.01 \
   --replicas 2 --repair-lag 2 --faults drop=0.05,crash=20@10+15@30 --seed 7
 
+echo "==> lossy-repair recovery smoke (enrolment drops, repair every tick, invariant-checked)"
+# The same bursts with 30% of replica enrolments lost: repair passes
+# leave vnodes partially enrolled and revisit them on the next tick, so
+# the partial-holder path and its per-record holder-map laws run
+# through the real CLI, not only through the oracle.
+DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- simulate \
+  --nodes 200 --tasks 20000 --churn 0.02 --failures 0.01 \
+  --replicas 2 --repair-lag 1 --faults repl-drop=0.3,crash=20@10+15@30 --seed 7
+
 echo "==> stream smoke (open-system run through the real CLI, invariant-checked, bounded trace)"
 # End-to-end through bin/dhtlb with continuous arrivals: a bursty plan
 # over Zipf-hot keys under churn and control-plane message drop, every

@@ -7,7 +7,7 @@
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v2
+     DHTLB-CKPT v3
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
@@ -20,15 +20,20 @@
    its tree parent and the hash index, and must stay one block, as must
    the vnode record it holds, which its machine's vnode list shares
    ([State.check_invariants] tests both by physical equality).  The
-   ring's links are cyclic, which default marshaling also handles.
+   replica map lives on those vnode records too: each record's holder
+   and back lists point at other vnode records, which must stay the
+   very same blocks as the ring's and the machines' (the holder-map
+   laws test [Dht.find ... == h]).  The ring's links and the replica
+   lists are cyclic, which default marshaling also handles.
 
    Version history: v1 held the persistent ring map and boxed PRNG
    words; v2 holds the mutable linked ring and the PRNG's 32-byte state
-   buffer, so a v1 body no longer unmarshals into this build's types
-   and is refused on its header. *)
+   buffer; v3 moves the replica map from two id-keyed hash tables onto
+   the vnode payloads.  Older bodies no longer unmarshal into this
+   build's types and are refused on their header. *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 2
+let format_version = 3
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with

@@ -136,12 +136,9 @@ type t = {
   mutable ring : ovnode list; (* ascending by id *)
   machs : omach array;
   msgs : msgs;
-  (* Live replica map, mirroring State.repl as an association list:
-     vnode id -> ids of its current backup holders.  Always [] when
-     [Params.replicas = 0].  Unlike the engine the oracle keeps no
-     repair-skip bookkeeping: the engine's skip fires only when the
-     pass would be a draw-free no-op, so running the pass anyway is
-     bit-identical. *)
+  (* Live replica map, mirroring the holder lists State keeps on its
+     vnode payloads, as an association list: vnode id -> ids of its
+     current backup holders.  Always [] when [Params.replicas = 0]. *)
   mutable holders : (Id.t * Id.t list) list;
   initial_mean : float;
   mutable initial_tasks : int;
@@ -388,7 +385,7 @@ let transfer_work o ~src ~dst n =
     !moved
   end
 
-(* ---- live replica map (mirroring State.repl) --------------------- *)
+(* ---- live replica map (mirroring State's payload holder lists) ---- *)
 
 let recovery_on o = Params.recovery_on o.params
 
@@ -410,7 +407,7 @@ let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* Mirrors State.repl_prune_one: departures leave every holder list. *)
+(* Mirrors State.prune_holder: departures leave every holder list. *)
 let prune_holder o id =
   o.holders <-
     List.map
@@ -443,7 +440,9 @@ let repl_note_leave o ~id ~recipient =
   end
 
 (* Donor/recipient snapshots taken before the join/leave mutates the
-   ring — mirror State.repl_donor / State.repl_recipient. *)
+   ring.  The recipient mirrors State.repl_recipient; State reads the
+   donor after the join as the newcomer's successor, which is the same
+   vnode as the non-member id's successor before it. *)
 let repl_donor o id =
   if not (recovery_on o) then None
   else match successor o id with None -> None | Some vn -> Some vn.id

@@ -1,4 +1,20 @@
-type payload = { owner : int }
+(* Live replica map ([Params.replicas > 0] only), held on the vnode
+   records themselves: [holders] are the ring vnodes currently holding a
+   backup of this vnode's tasks, and [backs] is the exact reverse (the
+   vnodes whose holder lists name this one), so pruning a departure
+   visits only the lists that name it instead of scanning the ring.
+   Holders exclude the owner, are capped at [replicas], and name only
+   live ring members: departures are pruned eagerly, so a departed
+   record keeps no links and no live record points at it.  Holders are
+   records, not ids, so a membership test is a pointer compare and the
+   repair pass finds a clean vnode without hashing a single id. *)
+type payload = {
+  owner : int;
+  mutable holders : payload Dht.vnode list;
+  mutable backs : payload Dht.vnode list;
+}
+
+let payload owner = { owner; holders = []; backs = [] }
 
 (* A machine's ring presences are held as the live [Dht.vnode] records,
    not ids: the consume/workload hot paths touch every machine every
@@ -29,24 +45,6 @@ type phys = {
   mutable puzzle : admission option;
 }
 
-(* Live replica map ([Params.replicas > 0] only): vnode id -> ids of the
-   ring vnodes currently holding a backup of its tasks.  Holder lists
-   exclude the owner, contain only live ring members (departures are
-   pruned eagerly — with pinned identities a machine can rejoin at an id
-   a stale list still names, which would fake a backup), and are capped
-   at [replicas].  [backs] is the exact reverse index (holder id -> the
-   vnodes whose lists name it): pruning a departure used to scan every
-   holder list, which made each churn departure O(ring).
-   [last_version]/[last_complete] let the repair pass skip itself when
-   the ring has not changed since a fully successful pass — a draw-free,
-   state-free skip the oracle need not mirror. *)
-type repl = {
-  holders : (Id.t, Id.t list) Hashtbl.t;
-  backs : (Id.t, Id.t list ref) Hashtbl.t;
-  mutable last_version : int;  (* joins + leaves at the last pass; -1 = never *)
-  mutable last_complete : bool;  (* that pass enrolled every desired holder *)
-}
-
 type t = {
   params : Params.t;
   dht : payload Dht.t;
@@ -57,7 +55,6 @@ type t = {
   krng : Prng.t;
   partitioned : int;
   attackers : int list;
-  repl : repl option;
   initial_mean : float;
   initial_tasks : int;
   hot_centers : Id.t array;
@@ -72,55 +69,61 @@ type t = {
 
 (* --- Replica reverse-index bookkeeping --------------------------------
    [holders] and [backs] always change together through these helpers;
-   the checked-mode invariant verifies they stay exact inverses. *)
+   the checked-mode invariant verifies they stay exact inverses.  Every
+   membership test is physical equality on the records. *)
 
-let backs_add r h v =
-  match Hashtbl.find_opt r.backs h with
-  | None -> Hashtbl.replace r.backs h (ref [ v ])
-  | Some l -> if not (List.exists (Id.equal v) !l) then l := v :: !l
+let backs_add (h : payload Dht.vnode) v =
+  let p = h.Dht.payload in
+  if not (List.memq v p.backs) then p.backs <- v :: p.backs
 
-let backs_remove r h v =
-  match Hashtbl.find_opt r.backs h with
-  | None -> ()
-  | Some l ->
-    l := List.filter (fun x -> not (Id.equal x v)) !l;
-    if !l = [] then Hashtbl.remove r.backs h
+let backs_remove (h : payload Dht.vnode) v =
+  let p = h.Dht.payload in
+  p.backs <- List.filter (fun x -> x != v) p.backs
 
 (* Replace vnode [v]'s holder list, diffing the reverse index. *)
-let set_holders r v hs =
-  let old = Option.value ~default:[] (Hashtbl.find_opt r.holders v) in
-  List.iter
-    (fun h -> if not (List.exists (Id.equal h) hs) then backs_remove r h v)
-    old;
-  List.iter
-    (fun h -> if not (List.exists (Id.equal h) old) then backs_add r h v)
-    hs;
-  Hashtbl.replace r.holders v hs
+let set_holders (v : payload Dht.vnode) hs =
+  let old = v.Dht.payload.holders in
+  List.iter (fun h -> if not (List.memq h hs) then backs_remove h v) old;
+  List.iter (fun h -> if not (List.memq h old) then backs_add h v) hs;
+  v.Dht.payload.holders <- hs
 
-(* Forget vnode [v]'s own entry (it left the ring). *)
-let drop_holder_entry r v =
-  (match Hashtbl.find_opt r.holders v with
-  | None -> ()
-  | Some hs -> List.iter (fun h -> backs_remove r h v) hs);
-  Hashtbl.remove r.holders v
+(* Forget vnode [v]'s own holder list (it left the ring). *)
+let drop_holder_entry (v : payload Dht.vnode) =
+  List.iter (fun h -> backs_remove h v) v.Dht.payload.holders;
+  v.Dht.payload.holders <- []
 
-(* Drop departed id [h] from every holder list that names it — the
+(* Drop departed vnode [h] from every holder list that names it — the
    reverse index knows exactly which, so a departure costs O(lists
-   naming it) instead of a scan of the whole map. *)
-let prune_holder r h =
-  match Hashtbl.find_opt r.backs h with
-  | None -> ()
-  | Some l ->
-    let backed = !l in
-    Hashtbl.remove r.backs h;
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt r.holders v with
-        | None -> ()
-        | Some hs ->
-          Hashtbl.replace r.holders v
-            (List.filter (fun x -> not (Id.equal x h)) hs))
-      backed
+   naming it) instead of a scan of the whole ring. *)
+let prune_holder (h : payload Dht.vnode) =
+  let backed = h.Dht.payload.backs in
+  h.Dht.payload.backs <- [];
+  List.iter
+    (fun (v : payload Dht.vnode) ->
+      v.Dht.payload.holders <- List.filter (fun x -> x != h) v.Dht.payload.holders)
+    backed
+
+(* The initial data load ships with its backups: every vnode's tasks are
+   enrolled on its next [replicas] successors, charged as replication
+   traffic but with no enrolment-drop draws (repl_drop models the lazy
+   repair path, not the setup).  One walk of the ring links; each
+   holder list is read off the successor links, no lookups. *)
+let enrol_replicas dht replicas =
+  let ring = Dht.ring dht in
+  let m = Dht.messages dht in
+  let k = min replicas (Ring.cardinal ring - 1) in
+  Ring.iter_nodes
+    (fun node ->
+      let vn = Ring.value node in
+      let hs = Ring.take (Ring.next node) ~step:Ring.next k in
+      List.iter
+        (fun (h : payload Dht.vnode) ->
+          h.Dht.payload.backs <- vn :: h.Dht.payload.backs)
+        hs;
+      vn.Dht.payload.holders <- hs;
+      m.Messages.replications <-
+        m.Messages.replications + (k * Id_set.cardinal vn.Dht.keys))
+    ring
 
 let create (params : Params.t) =
   (match Params.validate params with
@@ -181,7 +184,7 @@ let create (params : Params.t) =
   let dht = Dht.create () in
   let initial_vnode = Array.make n None in
   for pid = 0 to n - 1 do
-    match Dht.join dht ~id:ids.(pid) ~payload:{ owner = pid } with
+    match Dht.join dht ~id:ids.(pid) ~payload:(payload pid) with
     | Ok vn -> initial_vnode.(pid) <- Some vn
     | Error `Occupied -> assert false (* node ids are drawn distinct *)
   done;
@@ -219,49 +222,7 @@ let create (params : Params.t) =
     | Ok n -> n (* duplicate keys (negligible probability) drop silently *)
     | Error `Empty_ring -> assert false
   in
-  (* Live replication: the initial data load ships with its backups —
-     every vnode's tasks are enrolled on its next [replicas] successors,
-     charged as replication traffic but with no enrolment-drop draws
-     (repl_drop models the lazy repair path, not the setup).  Enrolment
-     is bulk: one ascending pass with index arithmetic over the sorted
-     vnode array gives each vnode the same successor list a per-vnode
-     ring walk would, without n O(k log n) walks. *)
-  let repl =
-    if not (Params.recovery_on params) then None
-    else begin
-      let r =
-        {
-          holders = Hashtbl.create 256;
-          backs = Hashtbl.create 256;
-          last_version = -1;
-          last_complete = false;
-        }
-      in
-      let m = Dht.messages dht in
-      let vns =
-        (* Ascending id order, as [Dht.iter] would visit. *)
-        let acc = ref [] in
-        Dht.iter (fun vn -> acc := vn :: !acc) dht;
-        Array.of_list (List.rev !acc)
-      in
-      let count = Array.length vns in
-      let want = min params.replicas (count - 1) in
-      Array.iteri
-        (fun i vn ->
-          let hs = ref [] in
-          for j = want downto 1 do
-            hs := vns.((i + j) mod count).Dht.id :: !hs
-          done;
-          m.Messages.replications <-
-            m.Messages.replications + (want * Id_set.cardinal vn.Dht.keys);
-          Hashtbl.replace r.holders vn.Dht.id !hs;
-          List.iter (fun h -> backs_add r h vn.Dht.id) !hs)
-        vns;
-      r.last_version <- m.Messages.joins + m.Messages.leaves;
-      r.last_complete <- true;
-      Some r
-    end
-  in
+  if Params.recovery_on params then enrol_replicas dht params.replicas;
   (* Arrival-stream setup draws ([Arrivals.rng], the third dedicated
      stream): iff the plan is enabled AND uses hot keys, the hotspot
      centers are drawn first; nothing else draws at setup.  A disabled
@@ -297,7 +258,6 @@ let create (params : Params.t) =
     krng;
     partitioned;
     attackers;
-    repl;
     initial_mean = float_of_int params.tasks /. float_of_int n;
     initial_tasks;
     hot_centers;
@@ -435,76 +395,71 @@ let charge_lookup t =
     (Dht.messages t.dht).Messages.lookup_hops + lookup_cost t
 
 (* --- Replica-map maintenance -------------------------------------------
-   Only live when [Params.replicas > 0] ([t.repl = Some _]); every helper
-   is a no-op otherwise, so the recovery-off engine is untouched.  The
-   bookkeeping below is deterministic (no draws); the only recovery
-   randomness is the optional repl_drop bernoulli in the repair pass. *)
+   Only live when [Params.replicas > 0]; every helper is a no-op
+   otherwise, so the recovery-off engine is untouched and every
+   record's lists stay empty.  The bookkeeping below is deterministic
+   (no draws); the only recovery randomness is the optional repl_drop
+   bernoulli in the repair pass. *)
 
 let replica_holders t id =
-  match t.repl with
+  match Dht.find t.dht id with
   | None -> []
-  | Some r -> Option.value ~default:[] (Hashtbl.find_opt r.holders id)
+  | Some vn ->
+    List.map (fun (h : payload Dht.vnode) -> h.Dht.id) vn.Dht.payload.holders
 
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* A vnode joining with a key split takes over part of its donor's arc;
-   the donor keeps holding the handed-over tasks, so the newcomer starts
-   out backed by the donor plus the donor's own holders (capped at
+(* [v] is a current ring member: the index's own record for its id, not
+   a departed record whose id may since have been reused. *)
+let in_ring t (v : payload Dht.vnode) =
+  match Dht.find t.dht v.Dht.id with Some v' -> v' == v | None -> false
+
+(* Checked mode: a departed record must keep no replica links — a
+   leftover holder list would fake a backup, and a leftover link either
+   way would keep dead records reachable. *)
+let check_departed t (vn : payload Dht.vnode) =
+  if Params.check_requested t.params then
+    match vn.Dht.payload with
+    | { holders = []; backs = []; _ } -> ()
+    | _ -> invalid_arg "State: departed vnode still carries replica links"
+
+(* A vnode joining with a key split takes over part of its donor's arc:
+   its ring successor, one link away once the join has landed (the
+   vnode itself when it is the sole member — nothing to copy from).  The
+   donor keeps holding the handed-over tasks, so the newcomer starts out
+   backed by the donor plus the donor's own holders (capped at
    [replicas]) until the next repair pass rebuilds its true successor
    list. *)
-let repl_note_join t ~id ~donor =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    let hs =
-      match donor with
-      | None -> []
-      | Some d ->
-        take t.params.Params.replicas
-          (d :: Option.value ~default:[] (Hashtbl.find_opt r.holders d))
-    in
-    set_holders r id hs
+let repl_note_join t (vn : payload Dht.vnode) =
+  if Params.recovery_on t.params then
+    match Dht.successor t.dht vn.Dht.id with
+    | Some d when d != vn ->
+      set_holders vn (take t.params.Params.replicas (d :: d.Dht.payload.holders))
+    | _ -> ()
 
 (* A graceful leave merges the leaver's range into its successor: a
    holder backs the merged range only if it already backed both parts,
    so the recipient's list intersects with the leaver's. *)
-let repl_note_leave t ~id ~recipient =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    let own = Option.value ~default:[] (Hashtbl.find_opt r.holders id) in
-    drop_holder_entry r id;
+let repl_note_leave t (vn : payload Dht.vnode) ~recipient =
+  if Params.recovery_on t.params then begin
+    let own = vn.Dht.payload.holders in
+    drop_holder_entry vn;
     (match recipient with
     | None -> ()
-    | Some s ->
-      let sh = Option.value ~default:[] (Hashtbl.find_opt r.holders s) in
-      set_holders r s (List.filter (fun h -> List.exists (Id.equal h) own) sh));
-    prune_holder r id
+    | Some (s : payload Dht.vnode) ->
+      set_holders s (List.filter (fun h -> List.memq h own) s.Dht.payload.holders));
+    prune_holder vn
+  end;
+  check_departed t vn
 
-(* Key donor (the successor) of a join at [id], recorded before the join
-   lands; [None] when the map is off (avoids the ring walk) or the ring
-   is empty. *)
-let repl_donor t id =
-  match t.repl with
-  | None -> None
-  | Some _ -> (
-    match Dht.successor t.dht id with
-    | None -> None
-    | Some vn -> Some vn.Dht.id)
-
-(* Graceful-leave recipient, recorded before the leave: the successor
-   that will absorb the keys, or [None] when the leaver is alone. *)
-let repl_recipient t id =
-  match t.repl with
-  | None -> None
-  | Some _ ->
-    if Dht.size t.dht <= 1 then None
-    else (
-      match Dht.successor t.dht id with
-      | None -> None
-      | Some vn -> Some vn.Dht.id)
+(* Graceful-leave recipient, read before the leave: the successor that
+   will absorb the keys, or [None] when the map is off or the leaver is
+   alone. *)
+let repl_recipient t (vn : payload Dht.vnode) =
+  if (not (Params.recovery_on t.params)) || Dht.size t.dht <= 1 then None
+  else Dht.successor t.dht vn.Dht.id
 
 (* Start one admission puzzle ([Params.puzzle_cost > 0] only): the
    lookup is charged now (the requester had to route to the target id
@@ -534,10 +489,9 @@ let create_sybil t pid id =
     end
   else begin
     charge_lookup t;
-    let donor = repl_donor t id in
-    match Dht.join t.dht ~id ~payload:{ owner = pid } with
+    match Dht.join t.dht ~id ~payload:(payload pid) with
     | Ok vn ->
-      repl_note_join t ~id ~donor;
+      repl_note_join t vn;
       p.vnodes <- p.vnodes @ [ vn ];
       true
     | Error `Occupied -> false
@@ -550,10 +504,9 @@ let retire_sybils t pid =
   | primary :: sybils ->
     List.iter
       (fun (vn : payload Dht.vnode) ->
-        let id = vn.Dht.id in
-        let recipient = repl_recipient t id in
-        match Dht.leave t.dht id with
-        | Ok () -> repl_note_leave t ~id ~recipient
+        let recipient = repl_recipient t vn in
+        match Dht.leave t.dht vn.Dht.id with
+        | Ok () -> repl_note_leave t vn ~recipient
         | Error `Not_member -> assert false
         | Error `Last_node -> assert false (* the primary is still present *))
       sybils;
@@ -577,11 +530,10 @@ let leave_phys t pid =
   match p.vnodes with
   | [] -> ()
   | [ primary ] -> begin
-    let primary_id = primary.Dht.id in
-    let recipient = repl_recipient t primary_id in
-    match Dht.leave t.dht primary_id with
+    let recipient = repl_recipient t primary in
+    match Dht.leave t.dht primary.Dht.id with
     | Ok () ->
-      repl_note_leave t ~id:primary_id ~recipient;
+      repl_note_leave t primary ~recipient;
       p.vnodes <- [];
       p.active <- false;
       t.n_active <- t.n_active - 1;
@@ -608,12 +560,11 @@ let join_phys t pid =
     if t.params.rejoin_fresh_id then Keygen.fresh t.rng else p.original_id
   in
   let hops = lookup_cost t in
-  let donor = repl_donor t id in
-  match Dht.join t.dht ~id ~payload:{ owner = pid } with
+  match Dht.join t.dht ~id ~payload:(payload pid) with
   | Ok vn ->
     (Dht.messages t.dht).Messages.lookup_hops <-
       (Dht.messages t.dht).Messages.lookup_hops + hops;
-    repl_note_join t ~id ~donor;
+    repl_note_join t vn;
     p.vnodes <- [ vn ];
     p.active <- true;
     t.n_active <- t.n_active + 1
@@ -633,20 +584,18 @@ let relocate_phys t pid ~id =
   let p = t.phys.(pid) in
   match p.vnodes with
   | [ primary ] when p.active && Dht.find t.dht id = None -> begin
-    let primary_id = primary.Dht.id in
-    let recipient = repl_recipient t primary_id in
-    match Dht.leave t.dht primary_id with
+    let recipient = repl_recipient t primary in
+    match Dht.leave t.dht primary.Dht.id with
     | Error `Last_node -> false (* someone must hold the keys *)
     | Error `Not_member -> assert false
     | Ok () ->
-      repl_note_leave t ~id:primary_id ~recipient;
+      repl_note_leave t primary ~recipient;
       let hops = lookup_cost t in
-      let donor = repl_donor t id in
-      (match Dht.join t.dht ~id ~payload:{ owner = pid } with
+      (match Dht.join t.dht ~id ~payload:(payload pid) with
       | Ok vn ->
         (Dht.messages t.dht).Messages.lookup_hops <-
           (Dht.messages t.dht).Messages.lookup_hops + hops;
-        repl_note_join t ~id ~donor;
+        repl_note_join t vn;
         p.vnodes <- [ vn ];
         (* The machine moved: its arc memory, in-flight retry, and any
            half-solved admission puzzle are stale at the new position. *)
@@ -691,20 +640,12 @@ let fail_phys_assumed t pid =
    last-node protection here: a crash does not ask permission, so a
    large enough event may empty the ring and lose everything. *)
 let crash_machines t pids =
-  let r = match t.repl with Some r -> r | None -> assert false in
-  let dying =
-    List.concat_map
-      (fun pid ->
-        List.map (fun (vn : payload Dht.vnode) -> vn.Dht.id) t.phys.(pid).vnodes)
-      pids
-  in
-  let dead = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace dead id ()) dying;
+  let dying = List.concat_map (fun pid -> t.phys.(pid).vnodes) pids in
   let removed =
     List.map
-      (fun id ->
-        match Dht.crash t.dht id with
-        | Ok keys -> (id, keys)
+      (fun (vn : payload Dht.vnode) ->
+        match Dht.crash t.dht vn.Dht.id with
+        | Ok keys -> (vn, keys)
         | Error `Not_member -> assert false)
       dying
   in
@@ -721,15 +662,14 @@ let crash_machines t pids =
     pids;
   let m = Dht.messages t.dht in
   List.iter
-    (fun (id, keys) ->
+    (fun ((vn : payload Dht.vnode), keys) ->
       let survives =
         (* Eager pruning keeps holder lists inside the ring, so a holder
-           is live iff it did not die in this same event. *)
-        List.exists
-          (fun h -> not (Hashtbl.mem dead h))
-          (Option.value ~default:[] (Hashtbl.find_opt r.holders id))
+           is live iff it is still in the ring after this event's
+           crashes. *)
+        List.exists (in_ring t) vn.Dht.payload.holders
       in
-      if survives then ignore (Dht.restore t.dht ~near:id keys)
+      if survives then ignore (Dht.restore t.dht ~near:vn.Dht.id keys)
       else begin
         m.Messages.tasks_lost <- m.Messages.tasks_lost + Id_set.cardinal keys;
         (* Lost tasks never complete: close their ledger entries so the
@@ -738,15 +678,15 @@ let crash_machines t pids =
           Id_set.iter (fun k -> Hashtbl.remove t.birth k) keys
       end)
     removed;
-  List.iter (fun (id, _) -> drop_holder_entry r id) removed;
-  List.iter (fun (id, _) -> prune_holder r id) removed
+  List.iter drop_holder_entry dying;
+  List.iter prune_holder dying;
+  List.iter (check_departed t) dying
 
 (* A lone churn failure is a one-machine crash event: with live
    replication its tasks survive iff a replica holder outlives it. *)
 let fail_phys t pid =
-  match t.repl with
-  | None -> fail_phys_assumed t pid
-  | Some _ -> crash_machines t [ pid ]
+  if Params.recovery_on t.params then crash_machines t [ pid ]
+  else fail_phys_assumed t pid
 
 let apply_churn t =
   let churn = t.params.churn_rate and fail = t.params.failure_rate in
@@ -842,10 +782,9 @@ let process_admissions t =
         | Some a when a.ready <= t.tick ->
           p.puzzle <- None;
           if p.active then begin
-            let donor = repl_donor t a.adm_id in
-            match Dht.join t.dht ~id:a.adm_id ~payload:{ owner = p.pid } with
+            match Dht.join t.dht ~id:a.adm_id ~payload:(payload p.pid) with
             | Ok vn ->
-              repl_note_join t ~id:a.adm_id ~donor;
+              repl_note_join t vn;
               p.vnodes <- p.vnodes @ [ vn ];
               if a.from_attack then begin
                 let m = Dht.messages t.dht in
@@ -862,10 +801,9 @@ let process_admissions t =
    pays.  A refused join (`Occupied) wastes the attempt. *)
 let inject_attack_sybil t pid id =
   charge_lookup t;
-  let donor = repl_donor t id in
-  match Dht.join t.dht ~id ~payload:{ owner = pid } with
+  match Dht.join t.dht ~id ~payload:(payload pid) with
   | Ok vn ->
-    repl_note_join t ~id ~donor;
+    repl_note_join t vn;
     t.phys.(pid).vnodes <- t.phys.(pid).vnodes @ [ vn ];
     let m = Dht.messages t.dht in
     m.Messages.attack_joins <- m.Messages.attack_joins + 1
@@ -904,9 +842,8 @@ let apply_attack t =
     | Some stop when stop = t.tick -> begin
       let victims = List.filter (fun pid -> t.phys.(pid).active) t.attackers in
       if victims <> [] then
-        match t.repl with
-        | None -> List.iter (fail_phys_assumed t) victims
-        | Some _ -> crash_machines t victims
+        if Params.recovery_on t.params then crash_machines t victims
+        else List.iter (fail_phys_assumed t) victims
     end
     | _ -> ()
   end
@@ -1043,9 +980,9 @@ let apply_crash_bursts t =
         (fun i -> alive.(i))
         (Sample.indices t.frng ~n:!m ~k:(min count !m))
     in
-    match t.repl with
-    | None -> List.iter (fail_phys_assumed t) victims
-    | Some _ -> if victims <> [] then crash_machines t victims
+    if not (Params.recovery_on t.params) then
+      List.iter (fail_phys_assumed t) victims
+    else if victims <> [] then crash_machines t victims
   end
 
 (* Lazy replica repair ([replicas > 0] only): every [repair_lag] ticks,
@@ -1056,49 +993,45 @@ let apply_crash_bursts t =
    plan — one fault-stream bernoulli that can fail the enrolment for
    this pass (retried next pass).  Draw order: vnodes ascending, then
    missing holders in successor-walk order.  Holders that fell out of
-   the successor list (ring drift) are dropped.  When the ring has not
-   changed since a fully successful pass the walk is skipped outright —
-   a no-op pass would keep every holder and draw nothing, so the skip
-   is invisible to the oracle. *)
+   the successor list (ring drift) are dropped.  A vnode whose list
+   already is its next [k] records costs [k] pointer compares along the
+   ring links and allocates nothing, so a pass over an unchanged ring
+   is a draw-free no-op and the work follows the positions that
+   changed. *)
 let repair_replicas t =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    if t.tick mod t.params.Params.repair_lag = 0 then begin
-      let m = Dht.messages t.dht in
-      let version = m.Messages.joins + m.Messages.leaves in
-      if not (r.last_complete && version = r.last_version) then begin
-        let p = t.params.Params.faults.Faults.repl_drop in
-        let complete = ref true in
-        Dht.iter
-          (fun vn ->
-            let id = vn.Dht.id in
-            let current =
-              Option.value ~default:[] (Hashtbl.find_opt r.holders id)
-            in
-            let desired = Dht.k_successors t.dht id t.params.Params.replicas in
-            let hs =
-              List.filter_map
-                (fun s ->
-                  let hid = s.Dht.id in
-                  if List.exists (Id.equal hid) current then Some hid
-                  else if Prng.bernoulli t.frng p then begin
-                    complete := false;
-                    None
-                  end
-                  else begin
-                    m.Messages.replications <-
-                      m.Messages.replications + Id_set.cardinal vn.Dht.keys;
-                    Some hid
-                  end)
-                desired
-            in
-            set_holders r id hs)
-          t.dht;
-        r.last_version <- version;
-        r.last_complete <- !complete
-      end
-    end
+  if Params.recovery_on t.params && t.tick mod t.params.Params.repair_lag = 0
+  then begin
+    let ring = Dht.ring t.dht in
+    let k = min t.params.Params.replicas (Ring.cardinal ring - 1) in
+    let p = t.params.Params.faults.Faults.repl_drop in
+    let m = Dht.messages t.dht in
+    (* [hs] is exactly the [k] records from [node] on, in ring order. *)
+    let rec matches hs node k =
+      match hs with
+      | [] -> k = 0
+      | h :: rest ->
+        k > 0 && h == Ring.value node && matches rest (Ring.next node) (k - 1)
+    in
+    Ring.iter_nodes
+      (fun node ->
+        let vn = Ring.value node in
+        let current = vn.Dht.payload.holders in
+        if not (matches current (Ring.next node) k) then begin
+          let desired = Ring.take (Ring.next node) ~step:Ring.next k in
+          set_holders vn
+            (List.filter
+               (fun s ->
+                 if List.memq s current then true
+                 else if Prng.bernoulli t.frng p then false
+                 else begin
+                   m.Messages.replications <-
+                     m.Messages.replications + Id_set.cardinal vn.Dht.keys;
+                   true
+                 end)
+               desired)
+        end)
+      ring
+  end
 
 (* Smart-neighbor retry bookkeeping.  A machine whose workload queries
    timed out waits [Faults.backoff] ticks between attempts; when the
@@ -1234,50 +1167,52 @@ let check_tick_invariants t =
     if m.Messages.replications <> 0 then
       invalid_arg "State: replication traffic with live replication off"
   end;
-  (* Holder-map structural laws: one entry per ring vnode; holders are
-     live ring members, never the owner, never duplicated, at most
-     [replicas] of them; and the reverse index is the exact inverse of
-     the holder lists (the pruning fast path depends on it). *)
-  (match t.repl with
-  | None -> ()
-  | Some r ->
-    if Hashtbl.length r.holders <> Dht.size t.dht then
-      invalid_arg
-        (Printf.sprintf "State: replica map has %d entries but the ring has %d"
-           (Hashtbl.length r.holders) (Dht.size t.dht));
-    let pairs = ref 0 in
-    Hashtbl.iter
-      (fun id hs ->
-        if Dht.find t.dht id = None then
-          invalid_arg "State: replica map entry for a vnode not in the ring";
-        if List.length hs > t.params.Params.replicas then
-          invalid_arg "State: holder list longer than the replication degree";
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun h ->
-            if Id.equal h id then
-              invalid_arg "State: vnode listed as its own replica holder";
-            if Hashtbl.mem seen h then
-              invalid_arg "State: duplicate replica holder";
-            Hashtbl.replace seen h ();
-            if Dht.find t.dht h = None then
-              invalid_arg "State: replica holder not in the ring (stale entry)";
-            incr pairs;
-            match Hashtbl.find_opt r.backs h with
-            | Some l when List.exists (Id.equal id) !l -> ()
-            | _ ->
-              invalid_arg
-                "State: holder missing from the replica reverse index")
-          hs)
-      r.holders;
-    let rev_pairs =
-      Hashtbl.fold (fun _ l acc -> acc + List.length !l) r.backs 0
-    in
-    if rev_pairs <> !pairs then
-      invalid_arg
-        (Printf.sprintf
-           "State: replica reverse index has %d pairs but holder lists have %d"
-           rev_pairs !pairs));
+  (* Holder-map structural laws, per ring record: holders are live ring
+     members (physically the index's record for their id), never the
+     owner, never duplicated, at most [replicas] of them; [backs] is the
+     exact inverse of the holder lists (the pruning fast path depends on
+     it) and names only ring members.  With recovery off both lists stay
+     empty everywhere. *)
+  let recovery = Params.recovery_on t.params in
+  let pairs = ref 0 and rev_pairs = ref 0 in
+  Dht.iter
+    (fun vn ->
+      let { holders; backs; _ } = vn.Dht.payload in
+      (match (holders, backs) with
+      | [], [] -> ()
+      | _ ->
+        if not recovery then
+          invalid_arg "State: replica links with live replication off");
+      if List.length holders > t.params.Params.replicas then
+        invalid_arg "State: holder list longer than the replication degree";
+      let rec walk = function
+        | [] -> ()
+        | (h : payload Dht.vnode) :: rest ->
+          if h == vn then
+            invalid_arg "State: vnode listed as its own replica holder";
+          if List.memq h rest then invalid_arg "State: duplicate replica holder";
+          if not (in_ring t h) then
+            invalid_arg "State: replica holder not in the ring (stale entry)";
+          if not (List.memq vn h.Dht.payload.backs) then
+            invalid_arg "State: holder missing from the replica reverse index";
+          incr pairs;
+          walk rest
+      in
+      walk holders;
+      List.iter
+        (fun (v : payload Dht.vnode) ->
+          if not (in_ring t v) then
+            invalid_arg "State: replica reverse index names a vnode not in the ring";
+          if not (List.memq vn v.Dht.payload.holders) then
+            invalid_arg "State: replica reverse index names a vnode it does not back";
+          incr rev_pairs)
+        backs)
+    t.dht;
+  if !rev_pairs <> !pairs then
+    invalid_arg
+      (Printf.sprintf
+         "State: replica reverse index has %d pairs but holder lists have %d"
+         !rev_pairs !pairs);
   (* Sybil caps: no machine exceeds max_sybils (homogeneous) or its
      strength (heterogeneous).  Malicious machines under an enabled
      attack plan are exempt — the adversarial injection path fabricates
@@ -1402,7 +1337,7 @@ module For_testing = struct
           let vnodes =
             List.map
               (fun id ->
-                match Dht.join dht ~id ~payload:{ owner = pid } with
+                match Dht.join dht ~id ~payload:(payload pid) with
                 | Ok vn -> vn
                 | Error `Occupied ->
                   invalid_arg "State.For_testing.build: duplicate vnode id")
@@ -1430,36 +1365,7 @@ module For_testing = struct
     in
     (* Mirrors [create]: the hand-built load ships with its backups,
        charged as replication traffic, with no enrolment-drop draws. *)
-    let repl =
-      if not (Params.recovery_on params) then None
-      else begin
-        let r =
-          {
-            holders = Hashtbl.create 64;
-            backs = Hashtbl.create 64;
-            last_version = -1;
-            last_complete = false;
-          }
-        in
-        let m = Dht.messages dht in
-        Dht.iter
-          (fun vn ->
-            let desired =
-              Dht.k_successors dht vn.Dht.id params.Params.replicas
-            in
-            List.iter
-              (fun _ ->
-                m.Messages.replications <-
-                  m.Messages.replications + Id_set.cardinal vn.Dht.keys)
-              desired;
-            set_holders r vn.Dht.id
-              (List.map (fun s -> s.Dht.id) desired))
-          dht;
-        r.last_version <- m.Messages.joins + m.Messages.leaves;
-        r.last_complete <- true;
-        Some r
-      end
-    in
+    if Params.recovery_on params then enrol_replicas dht params.Params.replicas;
     (* Mirrors [create]: with an arrival plan the hand-placed keys are
        born at tick 0 so sojourn settlement and the birth-table
        invariant work on hand-built states too.  Hot centers are not
@@ -1483,7 +1389,6 @@ module For_testing = struct
       krng = Attack.rng ~seed:params.Params.seed;
       partitioned = -1;
       attackers = [];
-      repl;
       initial_mean =
         float_of_int params.Params.tasks /. float_of_int params.Params.nodes;
       initial_tasks;

@@ -11,8 +11,23 @@
     the initial network plus an equal-sized waiting pool; machines move
     between the two sets at [churn_rate] per tick. *)
 
-type payload = { owner : int }
-(** DHT vnode payload: index of the owning physical node. *)
+type payload = private {
+  owner : int;  (** index of the owning physical node *)
+  mutable holders : payload Dht.vnode list;
+      (** the live replica map ([Params.replicas > 0] only): the ring
+          records currently holding a backup of this vnode's tasks —
+          never the vnode itself, at most [replicas], only ring
+          members *)
+  mutable backs : payload Dht.vnode list;
+      (** the exact reverse of [holders]: the records whose holder lists
+          name this one *)
+}
+(** DHT vnode payload.  The replica map lives on the records: holders
+    are record references, so membership is physical equality and no
+    id is hashed to follow a holder.  Both lists are empty with
+    recovery off and on every departed record.  Query holders by id
+    through {!replica_holders}.  The lists make vnode records cyclic:
+    compare them with [==] or by id, never with structural [=]. *)
 
 type admission = private { adm_id : Id.t; ready : int; from_attack : bool }
 (** A pending Sybil admission under the puzzle defense
@@ -46,11 +61,6 @@ type phys = private {
           the defense off, cleared on leave/crash *)
 }
 
-type repl
-(** Live replica map ([Params.replicas > 0] only): which ring vnodes
-    hold a backup of each vnode's tasks, plus repair-pass bookkeeping.
-    Opaque; query through {!replica_holders}. *)
-
 type t = private {
   params : Params.t;
   dht : payload Dht.t;
@@ -71,7 +81,6 @@ type t = private {
   attackers : int list;
       (** pids of the malicious machines, ascending; [[]] without an
           enabled attack plan *)
-  repl : repl option;  (** [Some] iff [Params.recovery_on params] *)
   initial_mean : float;  (** tasks / nodes at start *)
   initial_tasks : int;  (** keys actually stored at setup (conservation) *)
   hot_centers : Id.t array;
@@ -216,10 +225,12 @@ val repair_replicas : t -> unit
     already-enrolled holders carry over free, each missing one costs a
     copy of the vnode's current tasks (one [replications] charge per
     task) and, under a [repl_drop] plan, one fault-stream bernoulli
-    that can postpone the enrolment to the next pass.  Skipped outright
-    when the ring is unchanged since a fully successful pass (the skip
-    is draw-free and state-identical, so the oracle does not mirror
-    it). *)
+    that can postpone the enrolment to the next pass.  Cost per vnode:
+    with [k = min replicas (size - 1)], a vnode whose holder list is
+    already its next [k] ring records costs [k] pointer compares along
+    the ring links and allocates nothing; only a mismatched vnode reads
+    its successor list and diffs the reverse index.  A pass over an
+    unchanged, fully enrolled ring is therefore a draw-free no-op. *)
 
 val apply_arrivals : t -> int
 (** One tick of the arrival process (no-op returning 0 under
@@ -364,6 +375,11 @@ val check_tick_invariants : t -> unit
     - {b admission laws}: with the defense off, no admission slot exists
       and [puzzles] is pinned to zero; with it on, slots live only on
       active machines with deadlines within [puzzle_cost] of now;
+    - {b holder-map laws}, per ring record: each holder is physically
+      the ring's record for its id, never the vnode itself, never
+      duplicated, at most [replicas] of them; [backs] is the exact
+      inverse of [holders] and names only ring members; with recovery
+      off every list is empty;
     - {b ring-presence accounting}: ring size equals the sum of the
       machines' vnode lists;
     - {b message accounting}: [joins - leaves] equals the ring size.

@@ -233,23 +233,29 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v3\ngit_rev x\nparams_digest 0\ntick 0\n";
+  output_string oc "DHTLB-CKPT v4\ngit_rev x\nparams_digest 0\ntick 0\n";
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
-(* A v1 file (persistent ring map, boxed PRNG words) must be refused on
-   its header: the rest of the header matches, and the body is bytes
-   that [Marshal] would reject as corrupt, so the error shows the load
-   never got as far as unmarshaling. *)
-let test_refuses_v1 () =
+(* An older file must be refused on its header: the rest of the header
+   matches, and the body is bytes that [Marshal] would reject as
+   corrupt, so the error shows the load never got as far as
+   unmarshaling. *)
+let refuses_old_version v =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  Printf.fprintf oc "DHTLB-CKPT v1\ngit_rev x\nparams_digest %s\ntick 0\nnot a marshal body"
-    (Checkpoint.digest_of_params small_params);
+  Printf.fprintf oc "DHTLB-CKPT v%d\ngit_rev x\nparams_digest %s\ntick 0\nnot a marshal body"
+    v (Checkpoint.digest_of_params small_params);
   close_out oc;
-  check_refused "v1" ~substring:"unsupported checkpoint version"
+  check_refused (Printf.sprintf "v%d" v) ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
+
+(* v1 held the persistent ring map and boxed PRNG words. *)
+let test_refuses_v1 () = refuses_old_version 1
+
+(* v2 held the replica map in id-keyed hash tables beside the ring. *)
+let test_refuses_v2 () = refuses_old_version 2
 
 let test_refuses_truncated_body () =
   with_temp_file ".ckpt" @@ fun path ->
@@ -533,6 +539,7 @@ let () =
           Alcotest.test_case "garbage magic" `Quick test_refuses_garbage;
           Alcotest.test_case "future version" `Quick test_refuses_future_version;
           Alcotest.test_case "v1 refused" `Quick test_refuses_v1;
+          Alcotest.test_case "v2 refused" `Quick test_refuses_v2;
           Alcotest.test_case "truncated body" `Quick test_refuses_truncated_body;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );

@@ -26,7 +26,13 @@
    4. CONSERVATION-OR-LOST: with recovery on, every strategy under
       churn + failures + crash bursts satisfies
       [done + remaining + tasks_lost = initial] after every tick
-      ([check_every_tick]), and the run still terminates. *)
+      ([check_every_tick]), and the run still terminates.
+
+   5. REPAIR PASS: a loss-free pass rebuilds every vnode's holder list
+      to exactly its ring successors; a pass over an unchanged, fully
+      enrolled ring charges nothing and draws nothing; and under a
+      lossy plan a pass draws exactly one enrolment bernoulli per
+      holder still missing after the previous pass. *)
 
 (* ---- 1. golden pins: replicas = 0 == the pre-recovery engine ------ *)
 
@@ -377,6 +383,16 @@ let test_total_wipeout_loses_all () =
   Alcotest.(check int) "every task lost" initial m.Messages.tasks_lost;
   Alcotest.(check int) "ring empty" 0 (State.vnode_count state);
   Alcotest.(check int) "nothing remains" 0 (State.remaining_tasks state);
+  State.check_tick_invariants state;
+  (* The first machine back is the sole member: it has no donor, so it
+     starts with no holders rather than backing itself. *)
+  State.join_phys state 0;
+  Alcotest.(check int) "one vnode" 1 (State.vnode_count state);
+  Dht.iter
+    (fun vn ->
+      Alcotest.(check (list string)) "sole member holds no backup" []
+        (List.map Id.to_hex (State.replica_holders state vn.Dht.id)))
+    state.State.dht;
   State.check_tick_invariants state
 
 (* ---- 4. conservation-or-lost under every strategy ----------------- *)
@@ -422,6 +438,96 @@ let test_conservation_or_lost () =
         + m.Messages.tasks_lost))
     Strategy.all
 
+(* ---- 5. the repair pass ------------------------------------------ *)
+
+(* A replicated state whose holder lists have drifted from the ring: a
+   few churn ticks with no repair in between leave joiners backed by
+   their donors' groups and leavers' recipients holding intersections,
+   so the next pass has real work. *)
+let drifted_state ~repl_drop ~seed =
+  let params =
+    {
+      (Params.default ~nodes:30 ~tasks:600) with
+      Params.churn_rate = 0.2;
+      replicas = 2;
+      seed;
+      faults = { Faults.none with Faults.repl_drop };
+    }
+  in
+  let state = State.create params in
+  for _ = 1 to 3 do
+    State.apply_churn state
+  done;
+  state
+
+let successor_ids (state : State.t) id =
+  List.map
+    (fun (vn : State.payload Dht.vnode) -> vn.Dht.id)
+    (Dht.k_successors state.State.dht id state.State.params.Params.replicas)
+
+(* Holders each vnode's successor list names but its holder list lacks. *)
+let missing_holders (state : State.t) =
+  Dht.fold
+    (fun vn acc ->
+      let have = State.replica_holders state vn.Dht.id in
+      acc
+      + List.length
+          (List.filter
+             (fun s -> not (List.exists (Id.equal s) have))
+             (successor_ids state vn.Dht.id)))
+    state.State.dht 0
+
+let replications (state : State.t) =
+  (Dht.messages state.State.dht).Messages.replications
+
+let test_repair_restores_successors () =
+  let state = drifted_state ~repl_drop:0.0 ~seed:41 in
+  if missing_holders state = 0 then
+    Alcotest.fail "churn left no drift for the pass to repair";
+  State.repair_replicas state;
+  Dht.iter
+    (fun vn ->
+      Alcotest.(check (list string))
+        "holders = k_successors"
+        (List.map Id.to_hex (successor_ids state vn.Dht.id))
+        (List.map Id.to_hex (State.replica_holders state vn.Dht.id)))
+    state.State.dht;
+  State.check_tick_invariants state
+
+let test_clean_pass_is_free () =
+  let state = drifted_state ~repl_drop:0.5 ~seed:43 in
+  let passes = ref 0 in
+  while missing_holders state > 0 do
+    if !passes >= 200 then Alcotest.fail "repair never completed";
+    State.repair_replicas state;
+    incr passes
+  done;
+  let charged = replications state
+  and frng = Prng.capture state.State.frng in
+  State.repair_replicas state;
+  Alcotest.(check int) "no replications charged" charged (replications state);
+  Alcotest.(check bool) "no fault-stream draw" true
+    (Prng.state_equal frng (Prng.capture state.State.frng));
+  State.check_tick_invariants state
+
+let test_partial_pass_draws_per_missing () =
+  let state = drifted_state ~repl_drop:0.5 ~seed:47 in
+  State.repair_replicas state;
+  let missing = missing_holders state in
+  if missing = 0 then Alcotest.fail "the first lossy pass left nothing missing";
+  (* Replay the expected draws on a copy of the stream: one bernoulli,
+     i.e. one [float_unit], per still-missing holder. *)
+  let replay = Prng.of_state (Prng.capture state.State.frng) in
+  for _ = 1 to missing do
+    ignore (Prng.float_unit replay)
+  done;
+  State.repair_replicas state;
+  Alcotest.(check bool)
+    (Printf.sprintf "exactly %d draws" missing)
+    true
+    (Prng.state_equal (Prng.capture replay) (Prng.capture state.State.frng));
+  State.check_tick_invariants state
+
 let () =
   Alcotest.run "recovery"
     [
@@ -450,5 +556,14 @@ let () =
         [
           Alcotest.test_case "conserved-or-accounted-lost, all strategies"
             `Quick test_conservation_or_lost;
+        ] );
+      ( "repair",
+        [
+          Alcotest.test_case "loss-free pass restores successor lists" `Quick
+            test_repair_restores_successors;
+          Alcotest.test_case "pass over a clean ring is free" `Quick
+            test_clean_pass_is_free;
+          Alcotest.test_case "one draw per still-missing holder" `Quick
+            test_partial_pass_draws_per_missing;
         ] );
     ]
