@@ -252,8 +252,8 @@ let print_ops (ops, probes) =
   String.concat " " (List.map show ops)
   ^ " | probes " ^ String.concat " " (List.map Id.to_hex probes)
 
-let prop_model name id_gen =
-  Testutil.prop ~count:200 name (QCheck.make ~print:print_ops (scenario id_gen)) run_ops
+let prop_model ?(count = 200) name gen =
+  Testutil.prop ~count name (QCheck.make ~print:print_ops gen) run_ops
 
 let uniform_ids = QCheck.gen Testutil.arb_id
 
@@ -268,6 +268,42 @@ let tied_prefix_ids =
     (oneofl [ '\xf0'; '\xf1'; '\xf2'; '\xf3' ])
     (map (fun s -> String.make 10 '\x00' ^ s)
        (string_size ~gen:(oneofl [ '\x00'; '\x01'; '\x7f'; '\xff' ]) (return 2)))
+
+(* Grow the ring to 40-80 adds, several 16-member blocks, drain it to
+   empty with as many removals, then refill it with 17-40 adds:
+   blocks split while growing, shrink and vanish while draining, and
+   the empty ring must start over cleanly. *)
+let grow_drain_refill =
+  let open QCheck.Gen in
+  let adds lo hi = list_size (int_range lo hi) (map (fun id -> Add id) uniform_ids) in
+  adds 40 80 >>= fun grow ->
+  list_repeat (List.length grow) (map (fun k -> Del_nth k) nat) >>= fun drain ->
+  adds 17 40 >>= fun refill ->
+  map (fun probes -> (grow @ drain @ refill, probes)) (list_repeat 8 uniform_ids)
+
+(* More than 16 members that all agree on their top 62 bits, mixed with
+   uniform ids: the tied run is longer than a block, so a tie falls on
+   a block boundary and only the full compare can tell the blocks
+   apart.  Random adds and removals then move the boundary around. *)
+let long_tied_run =
+  let open QCheck.Gen in
+  let tied =
+    map2
+      (fun last tail -> Id.of_raw_string ("\x12\x34\x56\x78\x9a\xbc\xde" ^ String.make 1 last ^ tail))
+      (oneofl [ '\xf0'; '\xf1'; '\xf2'; '\xf3' ])
+      (string_size ~gen:char (return 12))
+  in
+  let id = frequency [ (3, tied); (1, uniform_ids) ] in
+  list_size (int_range 17 48) (map (fun id -> Add id) tied) >>= fun run ->
+  list_size (int_range 0 60)
+    (frequency
+       [
+         (3, map (fun id -> Add id) id);
+         (2, map (fun k -> Del_nth k) nat);
+         (1, map (fun id -> Del_id id) id);
+       ])
+  >>= fun churn ->
+  map (fun probes -> (run @ churn, probes)) (list_repeat 8 id)
 
 (* Eclipse-style clustering: every id within 4096 of one base, so the
    whole population packs into one narrow arc (which may straddle 0). *)
@@ -295,8 +331,12 @@ let () =
       ("properties", [ prop_successor_is_min_greater; prop_arcs_partition ]);
       ( "model",
         [
-          prop_model "uniform ids match the sorted-list model" uniform_ids;
-          prop_model "tied 62-bit prefixes match the model" tied_prefix_ids;
-          prop_model "one narrow arc matches the model" narrow_arc_ids;
+          prop_model "uniform ids match the sorted-list model" (scenario uniform_ids);
+          prop_model "tied 62-bit prefixes match the model" (scenario tied_prefix_ids);
+          prop_model "one narrow arc matches the model" (scenario narrow_arc_ids);
+          prop_model ~count:20 "grow past several blocks, drain to empty, refill"
+            grow_drain_refill;
+          prop_model ~count:60 "a tied run longer than a block matches the model"
+            long_tied_run;
         ] );
     ]
