@@ -53,6 +53,16 @@ DHTLB_CHECK=1 DHTLB_TRACE_OUT=ring:32 dune exec bin/dhtlb.exe -- stream \
   --faults drop=0.05 \
   --arrivals burst=20:150:10:20,hot=4:0.05:1.1,horizon=120,window=20 --seed 7
 
+echo "==> Sybil churn smoke (random injection on 2,000 nodes, invariant-checked)"
+# Random injection creates and retires Sybils every tick: 36k joins
+# and 32k leaves shift the ring's 16-member blocks, split about 570 of
+# them and empty a few, on a ring of 2,000-4,000 members (a few hundred
+# blocks).  Ring.check runs after every tick (block sizes, block
+# starts, block order against the links).
+DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- stream \
+  --nodes 2000 --tasks 20000 --strategy random \
+  --arrivals poisson=120,horizon=100,window=20 --seed 7
+
 echo "==> checkpoint kill-and-resume smoke (SIGKILL mid-run, resumed result must be byte-identical)"
 # One uninterrupted reference run writes its result JSON; the same
 # configuration is then checkpointed every 200 ticks, SIGKILLed

@@ -1,13 +1,31 @@
 type 'a vnode = { id : Id.t; mutable keys : Id_set.t; payload : 'a }
 
+(* Ids hash on the XOR of their leading and trailing 64-bit words:
+   [Id.of_fraction] ids (attack Sybils, [Keygen.even_ids]) are zero past
+   the leading word and [Id.of_int] ids are zero before the trailing
+   one.  Fraction ids are also zero in the low bits of the leading word,
+   which are the bits a table picks its bucket with, so a fold, a
+   multiply and a second fold spread the high bits down. *)
+module Index = Hashtbl.Make (struct
+  type t = Id.t
+
+  let equal = Id.equal
+
+  let hash id =
+    let s = Id.to_raw_string id in
+    let x = Int64.to_int (Int64.logxor (String.get_int64_be s 0) (String.get_int64_be s 12)) in
+    let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
+    x lxor (x lsr 29)
+end)
+
 type 'a t = {
   ring : 'a vnode Ring.t;
   (* Hash index from ids to ring nodes: point lookups (find/workload/
-     consume) are O(1) instead of an O(log n) ring descent, which the
+     consume) are O(1) instead of an O(log n) ring search, which the
      strategies' every-decision-period workload scans hit for every
      vnode of every machine, and a member's neighbours are one link
      away from its node. *)
-  index : (Id.t, 'a vnode Ring.node) Hashtbl.t;
+  index : 'a vnode Ring.node Index.t;
   mutable total_keys : int;
   messages : Messages.t;
 }
@@ -15,7 +33,7 @@ type 'a t = {
 let create () =
   {
     ring = Ring.create ();
-    index = Hashtbl.create 256;
+    index = Index.create 256;
     total_keys = 0;
     messages = Messages.create ();
   }
@@ -24,12 +42,12 @@ let messages t = t.messages
 let size t = Ring.cardinal t.ring
 let total_keys t = t.total_keys
 let find t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | Some n -> Some (Ring.value n)
   | None -> None
 
 let join t ~id ~payload =
-  if Hashtbl.mem t.index id then Error `Occupied
+  if Index.mem t.index id then Error `Occupied
   else begin
     t.messages.joins <- t.messages.joins + 1;
     let vn = { id; keys = Id_set.empty; payload } in
@@ -43,12 +61,12 @@ let join t ~id ~payload =
       t.messages.key_transfers <- t.messages.key_transfers + Id_set.cardinal inside;
       vn.keys <- inside
     end;
-    Hashtbl.replace t.index id node;
+    Index.replace t.index id node;
     Ok vn
   end
 
 let leave t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | None -> Error `Not_member
   | Some node ->
     if Ring.cardinal t.ring = 1 then Error `Last_node
@@ -56,7 +74,7 @@ let leave t id =
       t.messages.leaves <- t.messages.leaves + 1;
       let vn = Ring.value node and succ = Ring.value (Ring.next node) in
       Ring.remove_node node t.ring;
-      Hashtbl.remove t.index id;
+      Index.remove t.index id;
       let moved = Id_set.cardinal vn.keys in
       if moved > 0 then begin
         succ.keys <- Id_set.union succ.keys vn.keys;
@@ -74,12 +92,12 @@ let leave t id =
    writes them off as lost.  Unlike {!leave} the last vnode may crash —
    a crash does not ask permission — so the ring can empty out. *)
 let crash t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | None -> Error `Not_member
   | Some node ->
     t.messages.leaves <- t.messages.leaves + 1;
     Ring.remove_node node t.ring;
-    Hashtbl.remove t.index id;
+    Index.remove t.index id;
     let vn = Ring.value node in
     let keys = vn.keys in
     vn.keys <- Id_set.empty;
@@ -116,7 +134,7 @@ let insert_key t key =
     end
 
 (* Bulk load: sort the batch once, then hand every vnode its arc's slice
-   as an [of_sorted_array] set instead of one owner lookup and one AVL
+   as an [of_sorted_array] set instead of one owner lookup and one set
    insert per key.  Duplicates (within the batch or against stored keys)
    are dropped, exactly as repeated [insert_key] calls would drop them. *)
 let insert_keys t keys =
@@ -181,7 +199,7 @@ let insert_keys t keys =
   end
 
 (* Record-direct variant: the engine holds each machine's vnode records
-   and consumes every tick, so the per-call [Hashtbl] lookup of the
+   and consumes every tick, so the per-call [Index] lookup of the
    id-keyed [consume] was the single hottest operation at 100k nodes. *)
 let consume_vnode_keys ~pick t vn n =
   let c = Id_set.cardinal vn.keys in
@@ -235,23 +253,23 @@ let transfer_keys ~pick t ~src ~dst n =
   end
 
 let consume ~pick t id n =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | None -> 0
   | Some node -> consume_vnode ~pick t (Ring.value node) n
 
 let workload t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | None -> 0
   | Some node -> Id_set.cardinal (Ring.value node).keys
 
 (* A member's neighbours are one link away from its index entry; any
-   other id pays one descent to find where it would sit. *)
+   other id pays one ring search to find where it would sit. *)
 let near step first t id =
-  match Hashtbl.find_opt t.index id with
+  match Index.find_opt t.index id with
   | Some n -> Some (step n)
   | None -> first id t.ring
 
-let arc_of t id = Option.map Ring.node_arc (Hashtbl.find_opt t.index id)
+let arc_of t id = Option.map Ring.node_arc (Index.find_opt t.index id)
 let successor t id = Option.map Ring.value (near Ring.next Ring.first_after t id)
 let predecessor t id = Option.map Ring.value (near Ring.prev Ring.last_before t id)
 
@@ -268,23 +286,23 @@ let vnode_ids t = List.map fst (Ring.bindings t.ring)
 let ring t = t.ring
 
 let check_invariants t =
-  (* The ring itself: links in in-order sequence, exact AVL heights and
-     balance, size. *)
+  (* The ring itself: block shapes and starts, links in block order,
+     size. *)
   Ring.check t.ring;
   let counted = fold (fun vn acc -> acc + Id_set.cardinal vn.keys) t 0 in
   if counted <> t.total_keys then
     invalid_arg
       (Printf.sprintf "Dht: total_keys=%d but counted=%d" t.total_keys counted);
-  if Hashtbl.length t.index <> Ring.cardinal t.ring then
+  if Index.length t.index <> Ring.cardinal t.ring then
     invalid_arg
       (Printf.sprintf "Dht: index has %d entries but ring has %d"
-         (Hashtbl.length t.index) (Ring.cardinal t.ring));
+         (Index.length t.index) (Ring.cardinal t.ring));
   Ring.iter_nodes
     (fun node ->
       let vn = Ring.value node in
       if not (Id.equal vn.id (Ring.key node)) then
         invalid_arg "Dht: ring node keyed apart from its vnode";
-      (match Hashtbl.find_opt t.index vn.id with
+      (match Index.find_opt t.index vn.id with
       | Some n when n == node -> ()
       | Some _ -> invalid_arg "Dht: index points at a stale ring node"
       | None -> invalid_arg "Dht: ring vnode missing from index");

@@ -11,18 +11,23 @@
 
     The payload type ['a] carries simulator state (e.g. which physical
     node owns the vnode).  The structure is mutable: one {!Ring.t}
-    (an AVL tree whose nodes are also linked in id order) plus a hash
-    index from ids to ring nodes.  Costs, for [n] vnodes:
+    (members linked in id order and cut into blocks of at most 16, whose
+    cached id prefixes sit in flat int arrays) plus a hash index from
+    ids to ring nodes.  The index hashes the XOR of an id's leading and
+    trailing 64-bit words, mixed so that ids built by [Id.of_fraction]
+    or [Id.of_int], which are zero in one of those words, still spread.
+    Costs, for [n] vnodes:
 
-    - {!join}: one tree descent, which also yields the newcomer's
-      neighbours, plus the key split;
+    - {!join}: one O(log n) ring search, which also yields the
+      newcomer's neighbours, a shift within one block, plus the key
+      split;
     - {!leave}, {!crash}: an O(1) index lookup and unlink, then one
-      descent to detach from the tree, plus any key merge;
+      ring search and block shift, plus any key merge;
     - {!find}, {!workload}, {!consume}: O(1) through the index;
     - {!successor}, {!predecessor}, {!arc_of}: O(1) for a member id (its
-      index entry links to both neighbours), one O(log n) descent for
+      index entry links to both neighbours), one O(log n) search for
       any other id; {!k_successors}, {!k_predecessors} add O(k);
-    - {!owner_of}, {!insert_key}, {!restore}: one descent;
+    - {!owner_of}, {!insert_key}, {!restore}: one search;
     - {!iter}, {!fold}, {!vnode_ids}: O(n), following the links.
 
     Message costs are charged to the embedded {!Messages.t}. *)
@@ -83,7 +88,7 @@ val insert_keys : 'a t -> Id.t array -> (int, [ `Empty_ring ]) result
     batch or already stored — are dropped, as repeated [insert_key]
     calls would drop them.  One sort plus an [of_sorted_array] slice per
     vnode arc: O(b log b + n log b) for a batch of [b] keys over [n]
-    vnodes, rather than [b] owner lookups and AVL inserts. *)
+    vnodes, rather than [b] owner lookups and single-key set inserts. *)
 
 val owner_of : 'a t -> Id.t -> 'a vnode option
 (** The vnode responsible for a key. *)
@@ -152,8 +157,8 @@ val ring : 'a t -> 'a vnode Ring.t
     benchmarks; mutating it directly would desynchronise the index. *)
 
 val check_invariants : 'a t -> unit
-(** Asserts: the ring's own structure ({!Ring.check}: links match the
-    in-order traversal, every AVL height and balance is exact); the
+(** Asserts: the ring's own structure ({!Ring.check}: block sizes and
+    starts, blocks in the order of the links); the
     index and the ring hold the same nodes; key counts consistent; and
     — while no work transfer has happened ([work_transfers = 0]) —
     every key owned by the correct vnode.  O(n·keys); for tests and the

@@ -3,15 +3,22 @@
     One mutable ordered ring from identifiers to payloads with
     wrap-aware navigation: successors and predecessors wrap past
     [2^160 - 1] back to [0], as on the Chord circle.  Every member is a
-    {!node} that sits both in an AVL tree ordered by id and in a
-    circular doubly-linked list in id order.
+    {!node} that sits in a circular doubly-linked list in id order and
+    in a two-level blocked index: the members, in id order, are cut into
+    blocks of at most 16 nodes, each block holds its members' cached
+    62-bit id prefixes in a flat int array beside its node array, and
+    one more int array holds every block's first prefix.
 
-    Costs: {!add} is one tree descent (which also links the newcomer
-    between its neighbours); {!remove_node} unlinks in O(1) and detaches
-    from the tree in one descent; a lookup from an arbitrary id is one
-    descent; stepping from a node to its neighbour ({!next}, {!prev}) is
-    O(1).  Descents compare a cached 62-bit prefix of each id and run a
-    full [Id.compare] only when two prefixes tie.
+    Costs, for [n] members: a lookup from an arbitrary id is one
+    binary search over the block starts (at least [n / 16] of them, and
+    more after churn: a full block splits in half, but blocks never
+    merge) and one over a block's prefixes, reading a node only where
+    two prefixes tie (then it runs a full [Id.compare]).  {!add} is
+    that search, an O(1) link between the newcomer's neighbours and a
+    shift of at most 16 slots of one block; {!remove_node} is the same
+    search from the node's own id, a shift of one block (dropped when it
+    empties) and an O(1) unlink.  Stepping from a node to its neighbour
+    ({!next}, {!prev}) is O(1).
 
     The ring is updated in place: there is no persistent snapshot, and
     a node handed out by {!add} or {!find_node} stays valid until it is
@@ -42,8 +49,9 @@ val remove : Id.t -> 'a t -> unit
 (** Remove a member; no-op if the id is not one. *)
 
 val remove_node : 'a node -> 'a t -> unit
-(** Remove a member by its node: O(1) unlink plus one descent.  The
-    removed node afterwards links only to itself.
+(** Remove a member by its node: one search for its slot, one block
+    shift and an O(1) unlink.  The removed node afterwards links only
+    to itself.
     @raise Invalid_argument if the node is not a member of this ring. *)
 
 val of_ids : Id.t array -> unit t
@@ -120,9 +128,10 @@ val nth : 'a t -> int -> Id.t * 'a
     and sampling. @raise Invalid_argument out of bounds. *)
 
 val check : 'a t -> unit
-(** Asserts the structure: the links visit the members in the tree's
-    in-order sequence, [prev] inverts [next], ids strictly ascend, each
-    cached prefix matches its id, every AVL height is exact and every
-    node balanced, and the size matches the node count.  O(n); for
-    tests and the [DHTLB_CHECK=1] battery.
+(** Asserts the structure: every block holds between 1 and 16 members;
+    each block start equals its block's first prefix and each block
+    prefix its node's; the blocks concatenated are the order the links
+    visit, and [prev] inverts [next]; ids strictly ascend; each cached
+    prefix matches its id; and the size matches the node count.  O(n);
+    for tests and the [DHTLB_CHECK=1] battery.
     @raise Invalid_argument naming the first violation. *)

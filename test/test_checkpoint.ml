@@ -233,7 +233,7 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v4\ngit_rev x\nparams_digest 0\ntick 0\n";
+  output_string oc "DHTLB-CKPT v5\ngit_rev x\nparams_digest 0\ntick 0\n";
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
@@ -256,6 +256,10 @@ let test_refuses_v1 () = refuses_old_version 1
 
 (* v2 held the replica map in id-keyed hash tables beside the ring. *)
 let test_refuses_v2 () = refuses_old_version 2
+
+(* v3 held the ring as an AVL tree whose nodes carried child links and
+   heights. *)
+let test_refuses_v3 () = refuses_old_version 3
 
 let test_refuses_truncated_body () =
   with_temp_file ".ckpt" @@ fun path ->
@@ -540,6 +544,7 @@ let () =
           Alcotest.test_case "future version" `Quick test_refuses_future_version;
           Alcotest.test_case "v1 refused" `Quick test_refuses_v1;
           Alcotest.test_case "v2 refused" `Quick test_refuses_v2;
+          Alcotest.test_case "v3 refused" `Quick test_refuses_v3;
           Alcotest.test_case "truncated body" `Quick test_refuses_truncated_body;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );
